@@ -1,14 +1,10 @@
 """Interpreter throughput (ISSUE acceptance criterion): guest MIPS per
 interpreter tier, reported per workload in ``BENCH_interp.json``.
 
-Tiers (see docs/architecture.md §13 for the three-tier contract):
+Tiers (see docs/architecture.md §8 for the precise/fast contract):
 
-* **jit**      — the default interpreter: hot superblocks translated to
-  specialized Python closures (``repro.machine.jit``) above the decoded
-  page cache;
-* **fast**     — ``jit_enabled=False``: per-page decoded-instruction
-  cache, inlined dispatch, software TLB, batched charging (the PR-2
-  interpreter);
+* **fast**     — the default interpreter: per-page decoded-instruction
+  cache, inlined dispatch, software TLB, batched charging;
 * **precise**  — ``force_slow_path=True``: per-instruction ``step()``
   (still decode-cached — this is what tracing/taint pay);
 * **baseline** — precise plus a per-fetch re-decode ``_fetch`` override,
@@ -16,21 +12,16 @@ Tiers (see docs/architecture.md §13 for the three-tier contract):
 
 Workloads:
 
-* **lcg-checksum** — the nbench-flavoured compute loop; all four tiers
+* **lcg-checksum** — the nbench-flavoured compute loop; all three tiers
   must retire the same instruction count, produce the same checksum and
-  charge identical virtual cycles, and the jit tier must clear the
-  pinned speedup over the fast path in steady state;
+  charge identical virtual cycles, and the fast path must clear the
+  pinned speedup over the re-decode baseline;
 * **nbench** — one real suite workload (Numeric Sort) run vanilla
   through :class:`repro.apps.nbench.harness.NbenchHarness` machinery
   per tier: identical checksum and virtual ns, host time reported;
 * **minx-request-loop** — ApacheBench against the minx server per tier:
   zero failures and identical virtual busy-time per request, host
   requests/sec reported.
-
-The steady-state jit measurement takes the best of several trials after
-a warmup run: CPython's adaptive interpreter needs one pass over the
-generated closure before it reaches steady state, and CI runners are
-noisy.
 """
 
 import json
@@ -57,24 +48,13 @@ from repro.workloads import ApacheBench
 CODE_BASE = 0x40_0000
 DATA_BASE = 0x50_0000
 STACK_TOP = 0x7000_0000
-#: iteration count for the four-tier equality proof (precise and the
+#: iteration count for the three-tier equality proof (precise and the
 #: re-decode baseline are slow; this keeps them to well under a second)
 ITERATIONS = 12_000
-#: iteration count for the steady-state jit measurement (long enough
-#: that the one-time translation cost is noise)
-JIT_ITERATIONS = 200_000
-#: best-of trials for the steady-state jit/fast numbers
-TRIALS = 3
 NBENCH_INDEX = 0               # Numeric Sort
 MINX_REQUESTS = 20
 BENCH_JSON = os.path.join(os.path.dirname(__file__), os.pardir,
                           "BENCH_interp.json")
-
-
-class FastCPU(CPU):
-    """The PR-2 fast path with the jit tier switched off."""
-
-    jit_enabled = False
 
 
 class BaselineCPU(CPU):
@@ -82,7 +62,6 @@ class BaselineCPU(CPU):
     fetch + decode from raw page bytes on every instruction."""
 
     force_slow_path = True
-    jit_enabled = False
 
     def _fetch(self, state):
         addr = state.regs.rip
@@ -128,9 +107,9 @@ def lcg_checksum_kernel(iterations):
     return a
 
 
-def _run(cpu_cls, iterations=ITERATIONS):
+def _run(cpu_cls):
     space = AddressSpace()
-    code = lcg_checksum_kernel(iterations).assemble(CODE_BASE)
+    code = lcg_checksum_kernel(ITERATIONS).assemble(CODE_BASE)
     space.mmap(CODE_BASE, len(code), prot=PROT_RX, tag="text")
     for offset in range(0, len(code), PAGE_SIZE):
         page = space.page_at(CODE_BASE + offset)
@@ -154,7 +133,6 @@ def _run(cpu_cls, iterations=ITERATIONS):
         "virtual_ns": cpu.counter.total_ns,
         "host_s": host_s,
         "mips": cpu.instructions_retired / host_s / 1e6,
-        "stats": cpu.stats(),
     }
 
 
@@ -168,19 +146,17 @@ def _precise_cpu(space):
 def _tier(name):
     """Pin every CPU constructed in the block to one interpreter tier
     (the server/nbench harnesses build their machines internally)."""
-    saved = (CPU.jit_enabled, CPU.force_slow_path)
-    CPU.jit_enabled = name == "jit"
+    saved = CPU.force_slow_path
     CPU.force_slow_path = name == "precise"
     try:
         yield
     finally:
-        CPU.jit_enabled, CPU.force_slow_path = saved
+        CPU.force_slow_path = saved
 
 
 def _bench_lcg():
     tiers = {
-        "jit": _run(CPU),
-        "fast": _run(FastCPU),
+        "fast": _run(CPU),
         "precise": _run(_precise_cpu),
         "baseline": _run(BaselineCPU),
     }
@@ -190,23 +166,7 @@ def _bench_lcg():
         assert run["checksum"] == reference["checksum"], name
         assert run["instructions"] == reference["instructions"], name
         assert run["virtual_ns"] == reference["virtual_ns"], name
-    assert tiers["jit"]["stats"]["jit_insns"] > 0
-    assert tiers["precise"]["stats"]["jit_insns"] == 0
-
-    # steady state: best-of-TRIALS at JIT_ITERATIONS after one warmup
-    # (CPython's adaptive interpreter, noisy CI runners)
-    _run(CPU, JIT_ITERATIONS)
-    best_jit, best_fast = None, None
-    for _ in range(TRIALS):
-        jit = _run(CPU, JIT_ITERATIONS)
-        fast = _run(FastCPU, JIT_ITERATIONS)
-        assert jit["checksum"] == fast["checksum"]
-        assert jit["virtual_ns"] == fast["virtual_ns"]
-        if best_jit is None or jit["mips"] > best_jit["mips"]:
-            best_jit = jit
-        if best_fast is None or fast["mips"] > best_fast["mips"]:
-            best_fast = fast
-    return tiers, best_jit, best_fast
+    return tiers
 
 
 def _bench_nbench():
@@ -214,7 +174,7 @@ def _bench_nbench():
     from repro.apps.nbench.workloads import NBENCH_WORKLOADS
 
     results = {}
-    for name in ("jit", "fast", "precise"):
+    for name in ("fast", "precise"):
         with _tier(name):
             harness = NbenchHarness(runs=1)
             host_t0 = time.perf_counter()
@@ -232,7 +192,7 @@ def _bench_nbench():
 
 def _bench_minx():
     results = {}
-    for name in ("jit", "fast", "precise"):
+    for name in ("fast", "precise"):
         with _tier(name):
             kernel, server = make_minx()
             bench = ApacheBench(kernel, server)
@@ -253,8 +213,7 @@ def _bench_minx():
 
 
 def test_interp_throughput(table):
-    tiers, best_jit, best_fast = _bench_lcg()
-    jit_speedup = best_jit["mips"] / best_fast["mips"]
+    tiers = _bench_lcg()
     speedup_vs_baseline = tiers["fast"]["mips"] / tiers["baseline"]["mips"]
     nbench_name, nbench = _bench_nbench()
     minx = _bench_minx()
@@ -266,15 +225,9 @@ def test_interp_throughput(table):
     payload = {
         "workloads": {
             "lcg-checksum": {
-                "iterations": JIT_ITERATIONS,
-                "guest_instructions": best_jit["instructions"],
-                "tiers": {
-                    "jit": entry(best_jit),
-                    "fast": entry(best_fast),
-                    "precise": entry(tiers["precise"]),
-                    "baseline": entry(tiers["baseline"]),
-                },
-                "jit_speedup_vs_fast": round(jit_speedup, 2),
+                "iterations": ITERATIONS,
+                "guest_instructions": tiers["fast"]["instructions"],
+                "tiers": {name: entry(run) for name, run in tiers.items()},
                 "fast_speedup_vs_baseline": round(speedup_vs_baseline, 2),
             },
             "nbench": {
@@ -282,8 +235,6 @@ def test_interp_throughput(table):
                 "tiers": {name: {"host_s": round(run["host_s"], 4)}
                           for name, run in nbench.items()},
                 "virtual_ns": nbench["fast"]["virtual_ns"],
-                "jit_speedup_vs_fast": round(
-                    nbench["fast"]["host_s"] / nbench["jit"]["host_s"], 2),
             },
             "minx-request-loop": {
                 "requests": MINX_REQUESTS,
@@ -294,49 +245,28 @@ def test_interp_throughput(table):
                     for name, run in minx.items()},
                 "busy_per_request_ns":
                     minx["fast"]["busy_per_request_ns"],
-                "jit_speedup_vs_fast": round(
-                    minx["fast"]["host_s"] / minx["jit"]["host_s"], 2),
             },
         },
-        "jit_speedup_vs_fast": round(jit_speedup, 2),
-        "jit_mips": round(best_jit["mips"], 3),
-        "fast_mips": round(best_fast["mips"], 3),
+        "fast_mips": round(tiers["fast"]["mips"], 3),
     }
     with open(BENCH_JSON, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
-    table(f"Interpreter throughput (lcg-checksum, {JIT_ITERATIONS:,} "
-          f"iterations steady-state; equality proof at {ITERATIONS:,})",
+    table(f"Interpreter throughput (lcg-checksum, {ITERATIONS:,} "
+          f"iterations)",
           ("tier", "guest MIPS", "host time"),
-          [("jit", f"{best_jit['mips']:.2f}",
-            f"{best_jit['host_s'] * 1e3:,.1f} ms"),
-           ("fast", f"{best_fast['mips']:.2f}",
-            f"{best_fast['host_s'] * 1e3:,.1f} ms"),
-           ("precise", f"{tiers['precise']['mips']:.2f}",
-            f"{tiers['precise']['host_s'] * 1e3:,.1f} ms"),
-           ("baseline", f"{tiers['baseline']['mips']:.2f}",
-            f"{tiers['baseline']['host_s'] * 1e3:,.1f} ms")])
-    table("Per-workload jit vs fast (host time)",
-          ("workload", "jit", "fast", "speedup"),
-          [("lcg-checksum", f"{best_jit['host_s'] * 1e3:,.1f} ms",
-            f"{best_fast['host_s'] * 1e3:,.1f} ms",
-            f"{jit_speedup:.2f}x"),
-           (f"nbench/{nbench_name}",
-            f"{nbench['jit']['host_s'] * 1e3:,.1f} ms",
+          [(name, f"{run['mips']:.2f}", f"{run['host_s'] * 1e3:,.1f} ms")
+           for name, run in tiers.items()])
+    table("Per-workload host time by tier",
+          ("workload", "fast", "precise"),
+          [(f"nbench/{nbench_name}",
             f"{nbench['fast']['host_s'] * 1e3:,.1f} ms",
-            f"{nbench['fast']['host_s'] / nbench['jit']['host_s']:.2f}x"),
+            f"{nbench['precise']['host_s'] * 1e3:,.1f} ms"),
            ("minx-request-loop",
-            f"{minx['jit']['host_s'] * 1e3:,.1f} ms",
             f"{minx['fast']['host_s'] * 1e3:,.1f} ms",
-            f"{minx['fast']['host_s'] / minx['jit']['host_s']:.2f}x")])
+            f"{minx['precise']['host_s'] * 1e3:,.1f} ms")])
 
     assert speedup_vs_baseline >= 3.0, \
         f"fast path is only {speedup_vs_baseline:.2f}x the pre-PR " \
         f"interpreter (need >= 3x); see {BENCH_JSON}"
-    # the pinned jit floor is deliberately below the ~10-12x measured on
-    # a quiet machine: CI runners are noisy and the floor guards against
-    # silent de-optimization, not against scheduler jitter
-    assert jit_speedup >= 6.0, \
-        f"jit tier is only {jit_speedup:.2f}x the fast path " \
-        f"(pinned floor 6x); see {BENCH_JSON}"

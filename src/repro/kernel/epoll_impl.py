@@ -18,12 +18,9 @@ probes only the fds that actually have traffic.  Fairness is preserved:
 the scan rotates over the armed list exactly as it used to rotate over the
 interest list, advancing whenever a poll saturates ``max_events``.
 
-Probes may return the legacy 3-tuple ``(readable, writable, hup)`` or the
-richer 4-tuple with ``next_ready_at`` appended.  Only 4-tuple probes opt
-in to disarming: a 3-tuple probe carries no in-flight information, so its
-fds stay armed and the instance degrades to the old O(interest) scan —
-which keeps direct users of :class:`EpollInstance` (tests, tools) working
-unchanged without registering channels.
+Probes return ``(readable, writable, hup, next_ready_at)``; a probe that
+reports an idle fd with ``next_ready_at is None`` (nothing in flight)
+disarms it until its channel re-arms it.
 """
 
 from __future__ import annotations
@@ -144,13 +141,13 @@ class EpollInstance:
         self._disarm(fd)
 
     def poll(self, now: float,
-             probe: Callable[[int], Optional[Tuple]],
+             probe: Callable[[int], Optional[Tuple[bool, bool, bool,
+                                                   Optional[float]]]],
              max_events: int) -> List[Tuple[int, int]]:
         """Collect ready ``(events, data)`` pairs from the armed list.
 
-        ``probe(fd)`` returns ``(readable, writable, hup)`` — optionally
-        with ``next_ready_at`` appended — for a live fd, or ``None`` for a
-        stale one.
+        ``probe(fd)`` returns ``(readable, writable, hup, next_ready_at)``
+        for a live fd, or ``None`` for a stale one.
 
         The scan starts at a rotating position: whenever a poll returns a
         full ``max_events`` batch, the next scan begins just past the last
@@ -177,8 +174,7 @@ class EpollInstance:
                 # never probed again.
                 self._disarm(fd)
                 continue
-            readable, writable, hup = state[0], state[1], state[2]
-            pending = state[3] if len(state) > 3 else False
+            readable, writable, hup, next_ready_at = state
             events = 0
             if readable and interest.events & EPOLLIN:
                 events |= EPOLLIN
@@ -191,12 +187,10 @@ class EpollInstance:
                 if len(ready) >= max_events:
                     self._rotation = (start + position + 1) % len(items)
                     break
-            elif pending is None and not interest.events & EPOLLOUT:
-                # A 4-tuple probe says: idle now, nothing in flight.  The
-                # channel watcher will re-arm on the next delivery.
-                # (EPOLLOUT interests stay armed — writability has no
-                # delivery event.)  3-tuple probes (pending=False) never
-                # disarm: legacy callers keep O(interest) semantics.
+            elif next_ready_at is None and not interest.events & EPOLLOUT:
+                # Idle now, nothing in flight: the channel watcher will
+                # re-arm on the next delivery.  (EPOLLOUT interests stay
+                # armed — writability has no delivery event.)
                 self._disarm(fd)
         return ready
 

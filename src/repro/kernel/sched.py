@@ -230,21 +230,6 @@ class Scheduler:
 
     # -- idle hooks ----------------------------------------------------------
 
-    @property
-    def idle_hook(self):
-        """Legacy single-hook view: the first chained hook, or None."""
-        return self.idle_hooks[0] if self.idle_hooks else None
-
-    @idle_hook.setter
-    def idle_hook(self, fn) -> None:
-        # legacy assignment API: None clears the chain; a callable is
-        # appended (once) so older callers can no longer clobber hooks
-        # registered by someone else.
-        if fn is None:
-            self.idle_hooks.clear()
-        else:
-            self.add_idle_hook(fn)
-
     def add_idle_hook(self, fn: Callable[[], bool]) -> None:
         """Chain an idle-time drain hook (idempotent per callable)."""
         if fn not in self.idle_hooks:

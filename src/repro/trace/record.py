@@ -27,7 +27,10 @@ from typing import Dict, List, Optional
 from repro.machine.isa import Op
 from repro.trace.events import EventKind, MetricsRegistry, RingRecorder
 
-TRACE_VERSION = 1
+#: bumped whenever the footer schema changes, so an older trace is
+#: rejected with a typed error instead of replaying into a false footer
+#: divergence (v2: ``cpu_tiers`` lost the interpreter's third tier).
+TRACE_VERSION = 2
 
 #: how many trailing ring events a divergence capsule snapshots.
 DEFAULT_CAPSULE_WINDOW = 256

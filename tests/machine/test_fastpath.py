@@ -1,12 +1,16 @@
 """Unit tests for the interpreter fast path: the per-page decoded
 instruction cache, the software TLB, the observer-free MMU fast paths,
-and the precise/fast interpreter contract."""
+and the precise/fast interpreter contract — including a seeded
+randomized-program differential against the precise path."""
+
+import random
 
 import pytest
 
 from repro.errors import (
     AlignmentFault,
     ExecuteFault,
+    MachineFault,
     ProtectionKeyFault,
     SegmentationFault,
 )
@@ -27,6 +31,7 @@ from repro.machine.mpk import pkru_disable_access
 from repro.machine.registers import RegisterFile
 
 CODE_BASE = 0x40_0000
+DATA_BASE = 0x50_0000
 STACK_TOP = 0x7000_0000
 
 
@@ -40,7 +45,7 @@ def make_machine(assembler, code_prot=PROT_RX, stack_pages=4, data_pages=2):
         page.data[:len(chunk)] = chunk
     space.mmap(STACK_TOP - stack_pages * PAGE_SIZE, stack_pages * PAGE_SIZE,
                prot=PROT_RW, tag="stack")
-    data_base = space.mmap(None, data_pages * PAGE_SIZE, tag="data")
+    data_base = space.mmap(DATA_BASE, data_pages * PAGE_SIZE, tag="data")
     cpu = CPU(space)
     state = ExecState(RegisterFile())
     state.regs.rip = CODE_BASE
@@ -66,6 +71,97 @@ def counting_loop(n=50):
     a.jne("loop")
     a.ret()
     return a
+
+
+def memory_loop():
+    """Word and byte stores/loads through a 256-word working set."""
+    a = Assembler()
+    a.mov_ri("r9", DATA_BASE)
+    a.mov_ri("rax", 0x1234_5678)
+    a.mov_ri("rbx", 0)
+    a.mov_ri("rcx", 0)
+    a.label("loop")
+    a.mov_rr("rsi", "rcx")
+    a.and_ri("rsi", 255)
+    a.shl_ri("rsi", 3)
+    a.add_rr("rsi", "r9")
+    a.store("rsi", "rax", 0)
+    a.load("rdx", "rsi", 0)
+    a.store8("rsi", "rcx", 7)
+    a.load8("rdi", "rsi", 7)
+    a.xor_rr("rbx", "rdx")
+    a.add_rr("rbx", "rdi")
+    a.mul_rr("rax", "rbx")
+    a.add_ri("rax", 99991)
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 150)
+    a.jne("loop")
+    a.mov_rr("rax", "rbx")
+    a.ret()
+    return a
+
+
+def call_ret_chain():
+    """An outer loop calling a function that runs its own inner loop."""
+    a = Assembler()
+    a.mov_ri("rax", 0)
+    a.mov_ri("rcx", 0)
+    a.label("outer")
+    a.call("func")
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 40)
+    a.jne("outer")
+    a.ret()
+    a.label("func")
+    a.mov_ri("r9", 0)
+    a.label("inner")
+    a.add_ri("rax", 7)
+    a.add_ri("r9", 1)
+    a.cmp_ri("r9", 10)
+    a.jne("inner")
+    a.ret()
+    return a
+
+
+def hlt_loop():
+    a = Assembler()
+    a.mov_ri("rax", 0)
+    a.mov_ri("rcx", 0)
+    a.label("loop")
+    a.add_ri("rax", 3)
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 80)
+    a.jne("loop")
+    a.hlt()
+    return a
+
+
+def run_tier(assembler, precise, code_prot=PROT_RX, data_pages=2,
+             until_rip=HOST_RETURN_ADDRESS):
+    """Run a program from a host call, unbounded, on one tier; return how
+    the run ended and every observable of the end state."""
+    cpu, state, data_base = make_machine(assembler, code_prot=code_prot,
+                                         data_pages=data_pages)
+    cpu.force_slow_path = precise
+    cpu._push(state, HOST_RETURN_ADDRESS)
+    try:
+        ended = cpu.run(state, until_rip=until_rip)
+    except (CpuExit, MachineFault) as exc:
+        ended = type(exc).__name__
+    return ended, {
+        "registers": state.regs.snapshot(),
+        "virtual_ns": cpu.counter.total_ns,
+        "instructions": cpu.instructions_retired,
+        "data": bytes(cpu.space.page_at(data_base).data),
+    }
+
+
+def fast_matches_precise(assembler, **kwargs):
+    """Both tiers end the same way in the same state; returns the fast
+    tier's ``(ended, observables)``."""
+    fast = run_tier(assembler, precise=False, **kwargs)
+    assert fast == run_tier(assembler, precise=True, **kwargs)
+    return fast
 
 
 # -- decoded-instruction cache -----------------------------------------------
@@ -118,6 +214,32 @@ def test_guest_store_invalidates_decode_cache():
     a.ret()
     cpu, state, _ = make_machine(a, code_prot=PROT_RWX)
     assert run_to_host(cpu, state) == 999
+
+
+def test_self_modifying_code_inside_hot_loop():
+    """Every iteration re-stores a patched encoding over an instruction
+    of the running loop, so iteration 1 runs the old instruction and the
+    other 59 the patched one, on both tiers."""
+    new = Instruction(Op.ADD_RI, "rbx", imm=3).encode()
+    a = Assembler()
+    a.mov_ri("rbx", 0)
+    a.mov_ri("rcx", 0)
+    a.lea("r9", "patch")
+    a.mov_ri("r10", int.from_bytes(new[:8], "little"))
+    a.mov_ri("r11", int.from_bytes(new[8:], "little"))
+    a.label("loop")
+    a.label("patch")
+    a.add_ri("rbx", 1)
+    a.store("r9", "r10", 0)
+    a.store("r9", "r11", 8)
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 60)
+    a.jne("loop")
+    a.mov_rr("rax", "rbx")
+    a.ret()
+    ended, fast = fast_matches_precise(a, code_prot=PROT_RWX)
+    assert ended == "host-return"
+    assert fast["registers"]["rax"] == 1 + 3 * 59
 
 
 def test_syscall_mprotect_wx_flip_faults_fetch():
@@ -309,6 +431,72 @@ def test_forced_slow_path_matches_fast_path():
     assert _snapshot(fast_cpu, fast_state) == _snapshot(slow_cpu, slow_state)
 
 
+def test_memory_loop_matches_precise():
+    ended, fast = fast_matches_precise(memory_loop())
+    assert ended == "host-return"
+    assert any(fast["data"])
+
+
+def test_call_ret_chain_matches_precise():
+    ended, fast = fast_matches_precise(call_ret_chain())
+    assert ended == "host-return"
+    assert fast["registers"]["rax"] == 40 * 10 * 7
+
+
+def test_hlt_exits_identically():
+    ended, fast = fast_matches_precise(hlt_loop())
+    assert ended == "CpuExit"
+    assert fast["registers"]["rax"] == 80 * 3
+
+
+def test_until_rip_inside_loop_is_exact():
+    a = Assembler()
+    a.mov_ri("rax", 0)
+    a.mov_ri("rcx", 0)
+    a.label("loop")
+    a.add_rr("rax", "rcx")
+    a.label("body")
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 90)
+    a.jne("loop")
+    a.label("after")
+    a.add_ri("rax", 1)
+    a.ret()
+    labels = a.labels(CODE_BASE)
+    for stop in ("body", "after"):
+        ended, fast = fast_matches_precise(a, until_rip=labels[stop])
+        assert ended == "host-return"
+        assert fast["registers"]["rip"] == labels[stop]
+
+
+def _loop_stats(precise):
+    cpu, state, _ = make_machine(counting_loop(200))
+    cpu.force_slow_path = precise
+    run_to_host(cpu, state)
+    return cpu.stats()
+
+
+def test_stats_keys_complete():
+    """The per-tier split sums to the retired count (trace footers pin
+    it as ``cpu_tiers``)."""
+    fast, precise = _loop_stats(False), _loop_stats(True)
+    assert set(fast) == {"precise_insns", "fast_insns",
+                         "instructions_retired", "tlb_fills",
+                         "tlb_hit_rate"}
+    for stats in (fast, precise):
+        assert 0.0 <= stats["tlb_hit_rate"] <= 1.0
+        assert stats["instructions_retired"] == (
+            stats["precise_insns"] + stats["fast_insns"])
+    assert fast["fast_insns"] > 0
+    assert precise["fast_insns"] == 0
+
+
+def test_stats_deterministic_across_runs():
+    """Identical runs report an identical tier split."""
+    for precise in (False, True):
+        assert _loop_stats(precise) == _loop_stats(precise)
+
+
 def test_trace_hook_forces_precise_and_sees_every_instruction():
     cpu, state, _ = make_machine(counting_loop(30))
     seen = []
@@ -331,6 +519,48 @@ def test_observer_attach_forces_precise_memory_behavior():
     run_to_host(cpu, state)
     assert ("write", data_base, 8, (0x42).to_bytes(8, "little")) in events
     assert ("read", data_base, 8, (0x42).to_bytes(8, "little")) in events
+
+
+def test_observer_attached_from_syscall_mid_run():
+    """A syscall handler that attaches a memory observer demotes the
+    rest of the run to the precise path: the end state and the observed
+    access stream match a run that was precise throughout."""
+    a = Assembler()
+    a.mov_ri("r9", DATA_BASE)
+    a.mov_ri("rax", 0)
+    a.mov_ri("rcx", 0)
+    a.label("loop1")
+    a.store("r9", "rcx", 0)
+    a.add_ri("rax", 5)
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 80)
+    a.jne("loop1")
+    a.syscall()
+    a.mov_ri("rcx", 0)
+    a.label("loop2")
+    a.store("r9", "rax", 8)
+    a.add_ri("rax", 1)
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 80)
+    a.jne("loop2")
+    a.ret()
+
+    results = []
+    for precise in (False, True):
+        cpu, state, _ = make_machine(a)
+        cpu.force_slow_path = precise
+        events = []
+        cpu.syscall_handler = lambda st, cpu=cpu, events=events: \
+            cpu.space.add_observer(
+                lambda op, addr, size, value: events.append((op, addr)))
+        run_to_host(cpu, state)
+        results.append((_snapshot(cpu, state), events, cpu.stats()))
+    (fast, fast_events, fast_stats), (precise, precise_events, _) = results
+    assert fast == precise
+    assert fast_events == precise_events
+    assert fast_events                       # loop2 stores were observed
+    assert fast_stats["fast_insns"] > 0
+    assert fast_stats["precise_insns"] > 0   # demoted after the syscall
 
 
 def test_hook_attached_during_syscall_takes_effect_immediately():
@@ -396,6 +626,24 @@ def test_fault_still_charges_pending_instructions():
     assert state.regs.snapshot() == state2.regs.snapshot()
 
 
+def test_fault_mid_loop_restores_precise_state():
+    """A store walking off the one mapped data page faults mid-loop with
+    the precise path's registers, charges and memory."""
+    a = Assembler()
+    a.mov_ri("rsi", DATA_BASE)
+    a.mov_ri("rcx", 0)
+    a.label("loop")
+    a.store("rsi", "rcx", 0)
+    a.add_ri("rsi", 8)
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 5000)
+    a.jne("loop")
+    a.ret()
+    ended, fast = fast_matches_precise(a, data_pages=1)
+    assert ended == "SegmentationFault"
+    assert fast["registers"]["rcx"] == PAGE_SIZE // 8
+
+
 def test_max_steps_exact_on_fast_path():
     cpu, state, _ = make_machine(counting_loop(1000))
     reason = cpu.run(state, max_steps=37)
@@ -406,3 +654,71 @@ def test_max_steps_exact_on_fast_path():
     slow_cpu.run(slow_state, max_steps=37)
     assert state.regs.snapshot() == slow_state.regs.snapshot()
     assert cpu.counter.total_ns == slow_cpu.counter.total_ns
+
+
+# -- randomized differential against the precise path ------------------------
+
+_BODY_REGS = ("rax", "rbx", "rdx", "rsi", "rdi", "r8", "r10", "r11")
+
+
+def _random_program(rng):
+    a = Assembler()
+    a.mov_ri("r9", DATA_BASE)
+    for reg in _BODY_REGS:
+        a.mov_ri(reg, rng.getrandbits(63))
+    a.mov_ri("rcx", 0)
+    a.label("loop")
+    skip = 0
+    for _ in range(rng.randrange(6, 15)):
+        pick = rng.random()
+        dst = rng.choice(_BODY_REGS)
+        src = rng.choice(_BODY_REGS)
+        if pick < 0.30:
+            getattr(a, rng.choice(
+                ("add_rr", "sub_rr", "and_rr", "or_rr", "xor_rr",
+                 "mul_rr")))(dst, src)
+        elif pick < 0.50:
+            getattr(a, rng.choice(
+                ("add_ri", "sub_ri", "and_ri", "or_ri", "xor_ri")))(
+                    dst, rng.getrandbits(rng.choice((8, 32, 63))))
+        elif pick < 0.60:
+            getattr(a, rng.choice(("shl_ri", "shr_ri")))(
+                dst, rng.randrange(1, 64))
+        elif pick < 0.65:
+            a.not_r(dst)
+        elif pick < 0.75:
+            offset = rng.randrange(0, PAGE_SIZE - 8)
+            if rng.random() < 0.5:
+                a.store8("r9", src, offset)
+                a.load8(dst, "r9", offset)
+            else:
+                aligned = offset & ~7
+                a.store("r9", src, aligned)
+                a.load(dst, "r9", aligned)
+        elif pick < 0.85:
+            if rng.random() < 0.5:
+                a.cmp_rr(dst, src)
+            else:
+                a.cmp_ri(dst, rng.getrandbits(16))
+        elif pick < 0.92:
+            a.push_r(src)
+            a.pop_r(dst)
+        else:
+            label = f"skip{skip}"
+            skip += 1
+            a.test_rr(dst, src)
+            a.je(label)
+            a.add_ri(dst, 1)
+            a.label(label)
+    a.add_ri("rcx", 1)
+    a.cmp_ri("rcx", 40)
+    a.jne("loop")
+    a.ret()
+    return a
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_randomized_programs_match_precise(seed):
+    rng = random.Random(f"fastpath-fuzz-{seed}")
+    ended, _ = fast_matches_precise(_random_program(rng))
+    assert ended == "host-return"

@@ -23,7 +23,7 @@ def test_record_writes_trace_and_capsule(artifacts, capsys):
     trace, capsule = artifacts
     with open(trace) as fh:
         raw = json.load(fh)
-    assert raw["version"] == 1
+    assert raw["version"] == 2
     assert raw["footer"]["alarms"]
     with open(capsule) as fh:
         assert json.load(fh)["report"]["kind"] == "FOLLOWER_FAULT"
@@ -33,7 +33,7 @@ def test_info_summarizes(artifacts, capsys):
     trace, _ = artifacts
     assert main(["info", trace]) == 0
     out = capsys.readouterr().out
-    assert "trace version 1" in out
+    assert "trace version 2" in out
     assert "FOLLOWER_FAULT" in out
     assert "counter_total_ns" in out
 

@@ -28,7 +28,7 @@ def recorded():
 
 
 def test_recorded_trace_shape(recorded):
-    assert recorded.version == 1
+    assert recorded.version == 2
     assert recorded.meta["scenario"] == {
         "app": "minx", "seed": "smvx-repro",
         "kwargs": {"protect": PROTECT, "smvx": True}}
@@ -84,10 +84,13 @@ def test_serialization_roundtrip_replays(recorded, tmp_path):
 
 
 def test_unsupported_trace_version_rejected(recorded):
-    raw = recorded.to_dict()
-    raw["version"] = 99
-    with pytest.raises(ValueError, match="version"):
-        Trace.from_dict(raw)
+    # version 1 footers pinned a cpu_tiers schema this build no longer
+    # produces: rejected up front, never replayed into a false divergence
+    for version in (1, 99):
+        raw = recorded.to_dict()
+        raw["version"] = version
+        with pytest.raises(ValueError, match="unsupported trace version"):
+            Trace.from_dict(raw)
 
 
 def test_tampered_footer_is_detected(recorded):
