@@ -9,26 +9,31 @@ protected-region boundaries (:mod:`repro.cluster.wire`), and the leader
 blocks only at *sensitive* calls — the relaxed-lockstep trade that makes
 distributed MVX cheap on the leader's critical path.
 
-Three pieces:
+The §3.3 lockstep protocol itself lives only in
+:class:`~repro.core.monitor.SmvxMonitor`, as three steps: *capture* (an
+executed call becomes a :class:`~repro.core.ipc.CallEvent` with retval,
+errno and output-buffer bytes), *rendezvous* (announce, compare, abort
+on divergence) and *publish* (write the buffers into the follower,
+translate epoll data and pointer returns).  In-process they run back to
+back; here the leader host captures and the mirror host rendezvouses
+and publishes.  This module is only transport: state deltas, wire posts
+and verdicts.  Three pieces:
 
 * :class:`DistributedLeaderMonitor` — a :class:`~repro.core.monitor.
   SmvxMonitor` subclass for the leader process.  ``setup()`` is
   inherited wholesale (same GOT interposition, same MPK isolation), but
   region bodies create **no local variant**: every intercepted call is
-  executed locally, captured as a :class:`~repro.core.ipc.CallEvent`
-  (retval, errno, output-buffer bytes), and posted to the wire batch.
-  Sensitive calls ship a ``sync`` announcement first and block for the
-  remote verdict *before* executing — CVE-2013-2028's ``mkdir`` never
-  runs when the remote follower died on the ROP chain.
+  executed locally, captured, and posted to the wire batch.  Sensitive
+  calls ship a ``sync`` announcement first and block for the remote
+  verdict *before* executing — CVE-2013-2028's ``mkdir`` never runs when
+  the remote follower died on the ROP chain.
 
 * :class:`RemoteRegionRunner` — host 1 side.  A *mirror* of the leader
   process (built by the same constructor, same pid, same layout) carries
   a stock in-process :class:`SmvxMonitor`; the runner applies the
   leader's page/heap deltas, opens a real region (which creates a real
-  follower variant), and replays the leader side of the lockstep channel
-  from the wire events.  All of §3.3's emulation (buffer copies, epoll
-  translation, pointer-return mapping) is reproduced against data that
-  came over the wire instead of out of leader memory.
+  follower variant), and feeds each wire event to that monitor's
+  rendezvous and publish steps.
 
 * :class:`DistributedSmvx` — pairs a leader server with its mirror over
   a :class:`~repro.cluster.host.Cluster`, one channel per worker
@@ -49,18 +54,17 @@ faults at the identical guest PC remotely as in-process.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import wire
 from repro.cluster.host import Cluster, ClusterHost, WireEndpoint
-from repro.core.divergence import CallRecord, DivergenceReport, compare_calls
-from repro.core.ipc import LEADER, CallEvent, LibcResult
+from repro.core.divergence import CallRecord, DivergenceReport
+from repro.core.ipc import LEADER, CallEvent
 from repro.core.monitor import SmvxMonitor
 from repro.errors import MvxDivergence, MvxSetupError, MvxStateError
-from repro.libc.categories import BufSize, Category, EmulationSpec, spec_for
+from repro.libc.categories import EmulationSpec
 from repro.machine.memory import PAGE_SIZE, PROT_WRITE
-from repro.process.context import to_signed
 from repro.process.process import GuestProcess, GuestThread
 
 #: calls the leader treats as security-sensitive sync points (dMVX §4:
@@ -182,12 +186,7 @@ class DistributedLeaderMonitor(SmvxMonitor):
 
     def region_start(self, leader: GuestThread, root_function: str,
                      args: Sequence[int]) -> None:
-        if self.region is not None:
-            raise MvxStateError("nested mvx_start() is not supported")
-        if not self.target.has_symbol(root_function):
-            raise MvxSetupError(
-                f"protected function {root_function!r} not in profile")
-        self.stats.regions_entered += 1
+        self._enter_region(root_function)
         self._region_no += 1
         pages = state_delta(self.process, self._page_hashes)
         leader.variant = LEADER
@@ -200,11 +199,7 @@ class DistributedLeaderMonitor(SmvxMonitor):
         self.endpoint.flush(self.process)
 
     def region_end(self, leader: GuestThread) -> None:
-        region = self.region
-        if region is None:
-            raise MvxStateError("mvx_end() without an active region")
-        if leader is not region.leader:
-            raise MvxStateError("mvx_end() from a non-leader thread")
+        region = self._leaving_region(leader)
         self.endpoint.post(wire.region_end_msg(region.number),
                            self.process)
         # the close is asynchronous on the leader's wall clock (dMVX:
@@ -229,15 +224,9 @@ class DistributedLeaderMonitor(SmvxMonitor):
             pass
         self._teardown_region(alarm=report)
 
-    def _teardown_region(self,
-                         alarm: Optional[DivergenceReport] = None) -> None:
-        region, self.region = self.region, None
-        if alarm is not None:
-            if alarm.pid < 0:
-                alarm = replace(alarm, pid=self.process.pid)
-            self.alarms.raise_alarm(alarm)
-        if region is not None:
-            region.leader.variant = "main"
+    def _retire_follower(self, region: RemoteRegion,
+                         alarm: Optional[DivergenceReport]) -> None:
+        """No local follower: the mirror host retires its own."""
 
     # -- dispatch ----------------------------------------------------------
 
@@ -252,10 +241,7 @@ class DistributedLeaderMonitor(SmvxMonitor):
     def _leader_call(self, ctx, thread: GuestThread, name: str,
                      args: List[int]) -> int:
         region = self.region
-        spec = spec_for(name) or EmulationSpec(name, Category.LOCAL)
-        region.leader_seq += 1
-        record = CallRecord(region.leader_seq, name, tuple(args), LEADER)
-        self.stats.leader_calls += 1
+        record = self._leader_record(name, args)
         for tap in self.call_taps:
             tap(LEADER, record)
 
@@ -275,54 +261,15 @@ class DistributedLeaderMonitor(SmvxMonitor):
                 self._teardown_region(alarm=report)
                 raise MvxDivergence(report)
             retval = self._execute_libc(thread, name, args)
-            event = self._capture(spec, record, retval, thread)
-            self.endpoint.post(wire.result_msg(event), self.process)
+            self.endpoint.post(wire.result_msg(
+                self._capture(record, retval, thread)), self.process)
             return retval
 
         # relaxed lockstep: execute immediately, ship the outcome
         retval = self._execute_libc(thread, name, args)
-        event = self._capture(spec, record, retval, thread)
-        self.endpoint.post(wire.call_msg(event), self.process)
+        self.endpoint.post(wire.call_msg(
+            self._capture(record, retval, thread)), self.process)
         return retval
-
-    def _capture(self, spec: EmulationSpec, record: CallRecord,
-                 retval: int, thread: GuestThread) -> CallEvent:
-        """Flatten an executed call into a wire event: retval/errno plus
-        the bytes of every output buffer the call filled in leader
-        memory (the remote monitor writes them into its follower)."""
-        execute_locally = spec.category is Category.LOCAL
-        buffers: List[Tuple[int, bytes]] = []
-        signed = to_signed(retval)
-        if not execute_locally and signed >= 0:
-            space = self.process.space
-            for buffer in spec.out_buffers:
-                if buffer.arg_index >= len(record.args):
-                    continue
-                pointer = record.args[buffer.arg_index]
-                if pointer == 0:
-                    continue
-                if buffer.size is BufSize.RETVAL:
-                    size = signed
-                elif buffer.size is BufSize.RETVAL_TIMES:
-                    size = signed * buffer.fixed_size
-                else:
-                    size = buffer.fixed_size
-                if size <= 0:
-                    continue
-                if spec.category is Category.SPECIAL \
-                        and spec.name == "ioctl" \
-                        and not space.is_mapped(pointer):
-                    continue
-                buffers.append((buffer.arg_index,
-                                space.read(pointer, size, privileged=True)))
-                self.stats.bytes_copied += size
-        if execute_locally:
-            self.stats.local_calls += 1
-        else:
-            self.stats.emulated_calls += 1
-        return CallEvent(record.seq, record.name, record.args, retval,
-                         thread.errno, execute_locally, tuple(buffers),
-                         task=thread.tid, pc=thread.state.regs.rip)
 
     def _await_verdict(self, region: int, seq: int) -> Tuple[Dict, float]:
         """Flush, then drive the cluster until the verdict lands."""
@@ -359,6 +306,8 @@ class RemoteRegionRunner:
         #: reported at the next sync or region end).
         self.alarm: Optional[DivergenceReport] = None
         self._dead = False
+        #: (spec, follower record) of a sync call the follower is parked
+        #: in, waiting for the leader's executed result
         self._pending_sync = None
         self.events_played = 0
 
@@ -405,42 +354,25 @@ class RemoteRegionRunner:
         if self._dead:
             self._send_verdict(event.seq, self.alarm is None, self.alarm)
             return
-        spec = spec_for(event.name) or EmulationSpec(event.name,
-                                                     Category.LOCAL)
-        record = CallRecord(event.seq, event.name, event.args, LEADER)
-        channel = self.monitor.region.channel
-        self.process.charge(self.process.costs.rendezvous_ns,
-                            "smvx-rendezvous")
         try:
-            follower_record = channel.leader_announce(record)
+            pending = self._rendezvous(event)
         except MvxDivergence as divergence:
             self._abort(divergence.report)
             self._send_verdict(event.seq, False, divergence.report)
             return
-        report = compare_calls(record, follower_record, spec.pointer_args)
-        if report is not None:
-            report = replace(report, task_id=event.task,
-                             guest_pc=event.pc)
-            self._abort(report)
-            self._send_verdict(event.seq, False, report)
-            return
         # follower stays parked in follower_announce until the executed
         # result arrives; the leader is free to run the moment the OK
         # verdict lands
-        self._pending_sync = (event, spec, record, follower_record)
+        self._pending_sync = pending
         self._send_verdict(event.seq, True, None)
 
     def _on_result(self, msg: Dict) -> None:
         if self._dead or self._pending_sync is None:
             return
-        event = CallEvent.from_dict(msg["event"])
-        _, spec, record, follower_record = self._pending_sync
+        spec, follower = self._pending_sync
         self._pending_sync = None
-        channel = self.monitor.region.channel
-        try:
-            self._publish(channel, spec, event, follower_record)
-        except MvxDivergence as divergence:
-            self._abort(divergence.report)
+        self.monitor._publish(spec, CallEvent.from_dict(msg["event"]),
+                              follower)
 
     def _on_region_end(self, msg: Dict) -> None:
         if self._dead or self.monitor.region is None:
@@ -456,84 +388,31 @@ class RemoteRegionRunner:
 
     # -- replaying the leader side of the channel --------------------------
 
-    def _play(self, event: CallEvent) -> None:
-        """One already-executed leader call: announce, compare, emulate,
-        publish — the in-process ``_leader_call`` with leader memory
-        reads replaced by wire payloads."""
-        spec = spec_for(event.name) or EmulationSpec(event.name,
-                                                     Category.LOCAL)
+    def _rendezvous(self, event: CallEvent) -> Tuple[EmulationSpec,
+                                                     CallRecord]:
+        """The monitor's rendezvous for a leader call that arrived over
+        the wire, located at the leader's task and PC.  The mirror's
+        recorder sees the leader only through the wire, so no call taps
+        fire for this side."""
         record = CallRecord(event.seq, event.name, event.args, LEADER)
-        channel = self.monitor.region.channel
-        self.process.charge(self.process.costs.rendezvous_ns,
-                            "smvx-rendezvous")
-        follower_record = channel.leader_announce(record)
-        report = compare_calls(record, follower_record, spec.pointer_args)
-        if report is not None:
-            report = replace(report, task_id=event.task,
-                             guest_pc=event.pc)
-            channel.leader_abort(report)
-            raise MvxDivergence(report)
-        self._publish(channel, spec, event, follower_record)
+        return self.monitor._rendezvous(record, event.task, event.pc, ())
+
+    def _play(self, event: CallEvent) -> None:
+        """One already-executed leader call: rendezvous, then publish the
+        captured outcome to the mirror's follower."""
+        spec, follower = self._rendezvous(event)
+        self.monitor._publish(spec, event, follower)
         self.events_played += 1
-
-    def _publish(self, channel, spec: EmulationSpec, event: CallEvent,
-                 follower_record: CallRecord) -> None:
-        if event.execute_locally:
-            channel.leader_publish(LibcResult(
-                event.seq, event.retval, event.errno,
-                execute_locally=True))
-            return
-        follower_ret, copied = self._emulate(spec, event, follower_record)
-        channel.leader_publish(LibcResult(
-            event.seq, follower_ret, event.errno,
-            buffers_copied=tuple(copied)))
-
-    def _emulate(self, spec: EmulationSpec, event: CallEvent,
-                 follower: CallRecord) -> Tuple[int, List[Tuple[int, int]]]:
-        """§3.3 emulation against wire payloads: write the leader's
-        output-buffer bytes into the follower's memory, translate epoll
-        data and pointer returns."""
-        monitor = self.monitor
-        region = monitor.region
-        follower_space = region.variant.thread.space
-        signed = to_signed(event.retval)
-        copied: List[Tuple[int, int]] = []
-        if signed >= 0:
-            for arg_index, data in event.buffers:
-                if arg_index >= len(follower.args):
-                    continue
-                follower_ptr = follower.args[arg_index]
-                if follower_ptr == 0:
-                    continue
-                follower_space.write(follower_ptr, data, privileged=True)
-                copied.append((follower_ptr, len(data)))
-                monitor.stats.bytes_copied += len(data)
-                self.process.charge(
-                    len(data) * self.process.costs.ipc_copy_byte_ns,
-                    "smvx-ipc-copy")
-            if event.name in ("epoll_wait", "epoll_pwait") and signed > 0:
-                monitor._translate_epoll_data(follower.args[1], signed)
-        follower_ret = event.retval
-        if spec.retval_is_pointer:
-            follower_ret = None
-            for index, value in enumerate(event.args):
-                if value == event.retval and index < len(follower.args):
-                    follower_ret = follower.args[index]
-                    break
-            if follower_ret is None:
-                follower_ret = region.relocator.relocate_value(event.retval)
-        return follower_ret & ((1 << 64) - 1), copied
 
     # -- divergence + verdicts ---------------------------------------------
 
     def _abort(self, report: DivergenceReport) -> None:
+        # the monitor's rendezvous already tore the mirror region down
+        # and logged the alarm on the mirror host's own log (the host-1
+        # operational record); the leader hears of it in a verdict
         if self.alarm is None:
             self.alarm = report
         self._dead = True
-        if self.monitor.region is not None:
-            # tears the mirror region down and logs the alarm on the
-            # mirror host's own log (the host-1 operational record)
-            self.monitor.abort_region(report)
 
     def _send_verdict(self, seq: int, ok: bool,
                       alarm: Optional[DivergenceReport]) -> None:

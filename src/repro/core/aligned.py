@@ -24,11 +24,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.relocate import RelocationReport
-from repro.core.variant import FollowerVariant, VariantReport
+from repro.core.variant import (
+    FollowerVariant,
+    VariantReport,
+    clone_follower_thread,
+    leader_private_ranges,
+)
 from repro.errors import InvalidInstruction
 from repro.loader.loader import LoadedImage
-from repro.machine.costs import CostModel, CycleCounter
-from repro.machine.cpu import CPU
+from repro.machine.costs import CostModel
 from repro.machine.isa import INSTR_SIZE, Instruction, Op
 from repro.machine.memory import (
     AddressSpace,
@@ -149,11 +153,9 @@ def create_aligned_follower(process: GuestProcess, target: LoadedImage,
     heap = process.heap
 
     follower_space = AddressSpace(f"{process.name}:aligned-follower")
+    private = leader_private_ranges(process, target)
+    process.space.share_into(follower_space, exclude=private)
     image_size = page_align_up(target.image.load_size)
-    process.space.share_into(follower_space, exclude=[
-        (target.base, target.base + image_size),
-        (heap.base, heap.base + heap.size),
-    ])
 
     # ---- private image copy at the same base, text diversified ----
     copied = 0
@@ -193,23 +195,11 @@ def create_aligned_follower(process: GuestProcess, target: LoadedImage,
     process.charge(report.duplication_ns, "variant-copy")
 
     # ---- clone() the follower thread ----
-    before = process.counter.total_ns
-    process.kernel.syscall(process, "clone", 0)
-    thread = process.create_thread(f"aligned-follower:{root_function}",
-                                   stack_pages=stack_pages)
-    thread.variant = "follower"
-    report.clone_ns = process.counter.total_ns - before
-    thread.space = follower_space
-    thread.counter = CycleCounter()
-    thread.cpu = CPU(follower_space, counter=thread.counter, costs=costs,
-                     syscall_handler=process._syscall_from_isa,
-                     hl_dispatch=process._hl_dispatch)
-    thread.cpu.trace_hook = process.cpu.trace_hook
+    thread = clone_follower_thread(
+        process, f"aligned-follower:{root_function}", follower_space,
+        costs, report, stack_pages)
     # the follower's fresh stack must exist in its own view
-    process.space.share_into(follower_space, exclude=[
-        (target.base, target.base + image_size),
-        (heap.base, heap.base + heap.size),
-    ])
+    process.space.share_into(follower_space, exclude=private)
 
     # follower allocator over its private heap pages (same addresses)
     follower_heap = Heap(follower_space, heap.base, heap.size)

@@ -43,7 +43,9 @@ class LibcResult:
     """What the leader publishes after executing (or classifying) a call."""
 
     seq: int
-    retval: int
+    #: the follower's return value; for a LOCAL call, the leader's value
+    #: the follower checks its own against (None: a pointer, not checked).
+    retval: Optional[int]
     errno: int
     #: True when the call is LOCAL-category: the follower must execute it
     #: itself against its own memory instead of consuming emulated state.
@@ -55,11 +57,12 @@ class LibcResult:
 
 @dataclass(frozen=True)
 class CallEvent:
-    """One intercepted libc call, flattened for shipping over a cluster
-    link (``repro.cluster.wire``): the leader-side :class:`CallRecord`
-    plus everything the remote monitor needs to emulate the call for its
-    follower — retval/errno and the bytes of every output buffer the call
-    produced in the leader's memory.
+    """One executed leader call, flattened by the monitor's capture step:
+    the leader-side :class:`CallRecord` plus everything needed to emulate
+    the call for a follower — retval/errno and the bytes of every output
+    buffer the call produced in the leader's memory.  In-process it goes
+    straight to the publish step; across a cluster it ships over a link
+    (``repro.cluster.wire``) to the remote monitor's publish step.
 
     ``sync`` marks a security-sensitive call: the leader flushes the
     batch and waits for the remote verdict *before* executing it (the

@@ -22,7 +22,7 @@ At runtime the monitor implements the ``mvx_init``/``mvx_start``/
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.divergence import (
@@ -35,12 +35,13 @@ from repro.core.divergence import (
 from repro.core.ipc import (
     FOLLOWER,
     LEADER,
+    CallEvent,
     LibcResult,
     LockstepChannel,
     LockstepTimeout,
 )
 from repro.core.aligned import create_aligned_follower
-from repro.core.relocate import OldRange, PointerRelocator
+from repro.core.relocate import PointerRelocator
 from repro.core.reuse import CachedVariant, park_variant, refresh_variant
 from repro.core.trampoline import (
     allocate_monitor_memory,
@@ -48,7 +49,11 @@ from repro.core.trampoline import (
     harden_monitor_text,
     randomized_monitor_base,
 )
-from repro.core.variant import FollowerVariant, create_follower
+from repro.core.variant import (
+    FollowerVariant,
+    create_follower,
+    leader_old_ranges,
+)
 from repro.errors import (
     MachineFault,
     MvxDivergence,
@@ -66,6 +71,11 @@ from repro.process.context import GuestContext, to_signed
 from repro.process.process import GuestProcess, GuestThread
 
 _MASK64 = (1 << 64) - 1
+
+
+def _call_spec(name: str) -> EmulationSpec:
+    """A libc call's Table-1 spec; calls outside the table run LOCAL."""
+    return spec_for(name) or EmulationSpec(name, Category.LOCAL)
 
 
 @dataclass
@@ -136,7 +146,6 @@ class SmvxMonitor:
         self.real_libc: Dict[str, int] = {}
         self.region: Optional[ActiveRegion] = None
         self._libc_loaded: Optional[LoadedImage] = None
-        self._region_lock = threading.Lock()
         self.last_variant_report = None
         #: flight-recorder taps: fn(variant, record) at every lockstep
         #: rendezvous ("leader"/"follower" announce).
@@ -291,8 +300,8 @@ class SmvxMonitor:
     # region lifecycle
     # ------------------------------------------------------------------
 
-    def region_start(self, leader: GuestThread, root_function: str,
-                     args: Sequence[int]) -> None:
+    def _enter_region(self, root_function: str) -> None:
+        """The checks every ``mvx_start()`` passes before opening a region."""
         if self.region is not None:
             raise MvxStateError("nested mvx_start() is not supported")
         if not self.target.has_symbol(root_function):
@@ -300,6 +309,10 @@ class SmvxMonitor:
             raise MvxSetupError(
                 f"protected function {root_function!r} not in profile")
         self.stats.regions_entered += 1
+
+    def region_start(self, leader: GuestThread, root_function: str,
+                     args: Sequence[int]) -> None:
+        self._enter_region(root_function)
         cached = (self._cached_variants.pop(root_function, None)
                   if self.reuse_variants else None)
         if cached is not None:
@@ -319,13 +332,7 @@ class SmvxMonitor:
         variant.thread.state.pkru = self.memory.pkru_closed
         channel = LockstepChannel()
         relocator = PointerRelocator(
-            self.process.space,
-            [OldRange(self.target.base,
-                      self.target.base + self.target.image.load_size,
-                      "image"),
-             OldRange(self.process.heap.base,
-                      self.process.heap.base + self.process.heap.size,
-                      "heap")],
+            self.process.space, leader_old_ranges(self.process, self.target),
             variant.report.shift, self.costs)
         leader.variant = LEADER
 
@@ -360,12 +367,17 @@ class SmvxMonitor:
             return
         channel.follower_finish()
 
-    def region_end(self, leader: GuestThread) -> None:
+    def _leaving_region(self, leader: GuestThread):
+        """The checks every ``mvx_end()`` passes; returns the open region."""
         region = self.region
         if region is None:
             raise MvxStateError("mvx_end() without an active region")
         if leader is not region.leader:
             raise MvxStateError("mvx_end() from a non-leader thread")
+        return region
+
+    def region_end(self, leader: GuestThread) -> None:
+        region = self._leaving_region(leader)
         try:
             status = region.channel.leader_finish()
         except MvxDivergence as divergence:
@@ -396,6 +408,11 @@ class SmvxMonitor:
                 alarm = replace(alarm, pid=self.process.pid)
             self.alarms.raise_alarm(alarm)
         region.leader.variant = "main"
+        self._retire_follower(region, alarm)
+
+    def _retire_follower(self, region: ActiveRegion,
+                         alarm: Optional[DivergenceReport]) -> None:
+        """Join the follower thread, then park or destroy its variant."""
         region.py_thread.join(timeout=30)
         if alarm is None and self.reuse_variants:
             # §5: park the follower and track dirtiness instead of paying
@@ -510,106 +527,140 @@ class SmvxMonitor:
             thread.func_stack.pop()
         return int(result or 0) & _MASK64
 
-    # -- leader side ----------------------------------------------------------
+    # -- leader side: the §3.3 protocol --------------------------------------
+    #
+    # Three steps, shared with the distributed deployment
+    # (repro.cluster.remote): _rendezvous meets the follower and checks
+    # the call pair, _capture turns an executed call into a CallEvent,
+    # and _publish applies that event to the follower.  In-process, one
+    # call runs them back to back; across a cluster the leader host
+    # captures and the mirror host rendezvouses and publishes.
 
     def _leader_call(self, ctx: GuestContext, thread: GuestThread,
                      name: str, args: List[int]) -> int:
-        region = self.region
-        spec = spec_for(name) or EmulationSpec(name, Category.LOCAL)
-        region.leader_seq += 1
-        record = CallRecord(region.leader_seq, name, tuple(args), LEADER)
-        self.stats.leader_calls += 1
-        self.process.charge(self.costs.rendezvous_ns, "smvx-rendezvous")
-        for tap in self.call_taps:
-            tap(LEADER, record)
+        record = self._leader_record(name, args)
+        spec, follower = self._rendezvous(
+            record, thread.tid, thread.state.regs.rip, self.call_taps)
+        retval = self._execute_libc(thread, name, args)
+        self._publish(spec, self._capture(record, retval, thread), follower)
+        return retval
 
+    def _leader_record(self, name: str, args: List[int]) -> CallRecord:
+        """Number the leader's next call in the open region."""
+        region = self.region
+        region.leader_seq += 1
+        self.stats.leader_calls += 1
+        return CallRecord(region.leader_seq, name, tuple(args), LEADER)
+
+    def _rendezvous(self, record: CallRecord, task: int, pc: int,
+                    taps: Sequence) -> Tuple[EmulationSpec, CallRecord]:
+        """Meet the follower at ``record``: charge the wait, announce the
+        call, and compare it with the follower's (names and scalar
+        arguments).  A divergence tears the region down and raises
+        :class:`MvxDivergence` located at ``task``/``pc``.  Returns the
+        call's Table-1 spec and the follower's record."""
+        region = self.region
+        spec = _call_spec(record.name)
+        self.process.charge(self.costs.rendezvous_ns, "smvx-rendezvous")
+        for tap in taps:
+            tap(LEADER, record)
         try:
-            follower_record = region.channel.leader_announce(record)
+            follower = region.channel.leader_announce(record)
         except MvxDivergence as divergence:
             self._teardown_region(alarm=divergence.report)
             raise
-
-        report = compare_calls(record, follower_record, spec.pointer_args)
+        report = compare_calls(record, follower, spec.pointer_args)
         if report is not None:
-            report = replace(report, task_id=thread.tid,
-                             guest_pc=thread.state.regs.rip)
+            report = replace(report, task_id=task, guest_pc=pc)
             region.channel.leader_abort(report)
             self._teardown_region(alarm=report)
             raise MvxDivergence(report)
+        return spec, follower
 
-        if spec.category is Category.LOCAL:
-            retval = self._execute_libc(thread, name, args)
-            self.stats.local_calls += 1
-            region.channel.leader_publish(LibcResult(
-                record.seq, retval, thread.errno, execute_locally=True))
-            return retval
-
-        retval = self._execute_libc(thread, name, args)
-        self.stats.emulated_calls += 1
-        follower_ret, copied = self._emulate_for_follower(
-            spec, retval, record, follower_record)
-        region.channel.leader_publish(LibcResult(
-            record.seq, follower_ret, thread.errno,
-            buffers_copied=tuple(copied)))
-        return retval
-
-    def _emulate_for_follower(self, spec: EmulationSpec, retval: int,
-                              leader: CallRecord, follower: CallRecord
-                              ) -> Tuple[int, List[Tuple[int, int]]]:
-        """Copy output buffers into the follower's memory and translate a
-        pointer-valued return (paper §3.3 + the §3.3 'special' cases).
-
-        Reads come from the leader's view, writes go through the
-        follower's own view — under the aligned-variant strategy the same
-        numeric address names *different* pages in the two views."""
-        space = self.process.space
-        follower_space = self.region.variant.thread.space
-        region = self.region
-        copied: List[Tuple[int, int]] = []
-        signed_ret = to_signed(retval)
-
-        if signed_ret >= 0:
+    def _capture(self, record: CallRecord, retval: int,
+                 thread: GuestThread) -> CallEvent:
+        """Flatten an executed leader call into a :class:`CallEvent`:
+        retval, errno, and the bytes of every output buffer the call
+        filled in the leader's memory, sized per Table 1."""
+        spec = _call_spec(record.name)
+        execute_locally = spec.category is Category.LOCAL
+        buffers: List[Tuple[int, bytes]] = []
+        signed = to_signed(retval)
+        if not execute_locally and signed >= 0:
+            space = self.process.space
             for buffer in spec.out_buffers:
-                if buffer.arg_index >= len(leader.args):
+                if buffer.arg_index >= len(record.args):
                     continue
-                leader_ptr = leader.args[buffer.arg_index]
-                follower_ptr = follower.args[buffer.arg_index]
-                if leader_ptr == 0 or follower_ptr == 0:
+                pointer = record.args[buffer.arg_index]
+                if pointer == 0:
                     continue
                 if buffer.size is BufSize.RETVAL:
-                    size = signed_ret
+                    size = signed
                 elif buffer.size is BufSize.RETVAL_TIMES:
-                    size = signed_ret * buffer.fixed_size
+                    size = signed * buffer.fixed_size
                 else:
                     size = buffer.fixed_size
                 if size <= 0:
                     continue
-                if spec.category is Category.SPECIAL and spec.name == "ioctl":
-                    # pointer-in-address-space heuristic (paper §3.3)
-                    if not space.is_mapped(leader_ptr):
-                        continue
-                data = space.read(leader_ptr, size, privileged=True)
-                follower_space.write(follower_ptr, data, privileged=True)
-                copied.append((follower_ptr, size))
-                self.stats.bytes_copied += size
-                self.process.charge(size * self.costs.ipc_copy_byte_ns,
-                                    "smvx-ipc-copy")
-            if spec.name in ("epoll_wait", "epoll_pwait") and signed_ret > 0:
-                self._translate_epoll_data(follower.args[1], signed_ret)
+                if spec.category is Category.SPECIAL \
+                        and spec.name == "ioctl" \
+                        and not space.is_mapped(pointer):
+                    # pointer-in-address-space heuristic (paper §3.3):
+                    # ioctl's third argument may be a plain integer
+                    continue
+                buffers.append((buffer.arg_index,
+                                space.read(pointer, size, privileged=True)))
+        if execute_locally:
+            self.stats.local_calls += 1
+        else:
+            self.stats.emulated_calls += 1
+        return CallEvent(record.seq, record.name, record.args, retval,
+                         thread.errno, execute_locally, tuple(buffers),
+                         task=thread.tid, pc=thread.state.regs.rip)
 
-        follower_ret = retval
+    def _publish(self, spec: EmulationSpec, event: CallEvent,
+                 follower: CallRecord) -> None:
+        """Apply ``event`` to the follower and publish its result: write
+        the captured output buffers through the follower's own view (under
+        the aligned strategy the same address names *different* pages in
+        the two views), translate epoll_data, and map a pointer return."""
+        region = self.region
+        retval = event.retval
         if spec.retval_is_pointer:
-            # a pointer return usually aliases one of the arguments
-            # (localtime_r returns its result buffer); map positionally,
-            # else fall back to old-range relocation.
-            follower_ret = None
-            for index, value in enumerate(leader.args):
-                if value == retval and index < len(follower.args):
-                    follower_ret = follower.args[index]
-                    break
-            if follower_ret is None:
-                follower_ret = region.relocator.relocate_value(retval)
-        return follower_ret & _MASK64, copied
+            # pointer returns differ between the layouts.  A LOCAL call's
+            # is left unchecked (None); an emulated call's usually aliases
+            # one of the arguments (localtime_r returns its result
+            # buffer): map it positionally, else by old-range relocation.
+            if event.execute_locally:
+                retval = None
+            else:
+                for index, value in enumerate(event.args):
+                    if value == retval:
+                        retval = follower.args[index]
+                        break
+                else:
+                    retval = region.relocator.relocate_value(retval)
+        if event.execute_locally:
+            region.channel.leader_publish(LibcResult(
+                event.seq, retval, event.errno, execute_locally=True))
+            return
+        follower_space = region.variant.thread.space
+        copied: List[Tuple[int, int]] = []
+        for arg_index, data in event.buffers:
+            follower_ptr = follower.args[arg_index]
+            if follower_ptr == 0:
+                continue
+            follower_space.write(follower_ptr, data, privileged=True)
+            copied.append((follower_ptr, len(data)))
+            self.stats.bytes_copied += len(data)
+            self.process.charge(len(data) * self.costs.ipc_copy_byte_ns,
+                                "smvx-ipc-copy")
+        count = to_signed(event.retval)
+        if event.name in ("epoll_wait", "epoll_pwait") and count > 0:
+            self._translate_epoll_data(follower.args[1], count)
+        region.channel.leader_publish(LibcResult(
+            event.seq, retval & _MASK64, event.errno,
+            buffers_copied=tuple(copied)))
 
     def _translate_epoll_data(self, follower_events: int, count: int) -> None:
         """epoll_data is a union; when a value looks like a pointer into
@@ -639,11 +690,9 @@ class SmvxMonitor:
         result = region.channel.follower_announce(record)
         if result.execute_locally:
             mine = self._execute_libc(thread, name, args)
-            spec = spec_for(name)
-            # paper §3.3: return values are lockstep-checked too; pointer
-            # returns legitimately differ between layouts and are skipped
-            if (spec is None or not spec.retval_is_pointer) \
-                    and mine != result.retval:
+            # paper §3.3: return values are lockstep-checked too (the
+            # leader publishes None for a pointer return: not comparable)
+            if result.retval is not None and mine != result.retval:
                 report = DivergenceReport(
                     DivergenceKind.RETVAL, record.seq, name,
                     f"local call returned {mine:#x} in the follower vs "

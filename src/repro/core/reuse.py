@@ -24,8 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.relocate import OldRange, PointerRelocator
-from repro.core.variant import FollowerVariant
+from repro.core.relocate import PointerRelocator
+from repro.core.variant import (
+    FollowerVariant,
+    leader_old_ranges,
+    leader_private_ranges,
+)
 from repro.machine.costs import CostModel
 from repro.machine.memory import PAGE_SIZE, page_align_down, page_align_up
 from repro.process.process import GuestProcess
@@ -83,20 +87,11 @@ class RefreshStats:
     time_ns: float = 0.0
 
 
-def watch_ranges(process: GuestProcess, variant: FollowerVariant,
-                 target) -> List[Tuple[int, int]]:
-    heap = process.heap
-    return [
-        (target.base, target.base + page_align_up(target.image.load_size)),
-        (heap.base, heap.base + heap.size),
-    ]
-
-
 def park_variant(process: GuestProcess, variant: FollowerVariant,
                  target) -> CachedVariant:
     """Keep the follower alive after mvx_end and start dirty tracking."""
     tracker = DirtyTracker(process.space,
-                           watch_ranges(process, variant, target)).attach()
+                           leader_private_ranges(process, target)).attach()
     return CachedVariant(variant=variant, tracker=tracker,
                          heap_brk=process.heap.used_range()[1])
 
@@ -125,11 +120,8 @@ def refresh_variant(process: GuestProcess, cached: CachedVariant,
                    for s in (".plt", ".rodata", ".got.plt", ".data",
                              ".bss")]
     relocator = PointerRelocator(
-        process.space,
-        [OldRange(target.base,
-                  target.base + target.image.load_size, "image"),
-         OldRange(heap.base, heap.base + heap.size, "heap")],
-        shift, costs, charge=process.charge)
+        process.space, leader_old_ranges(process, target), shift, costs,
+        charge=process.charge)
 
     copied_ns = 0.0
     for page in sorted(dirty):

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.analysis.callgraph import build_callgraph
 from repro.errors import MvxSetupError
 from repro.loader.loader import LoadedImage
-from repro.machine.costs import CostModel
+from repro.machine.costs import CostModel, CycleCounter
 from repro.machine.cpu import CPU
 from repro.machine.memory import (
     AddressSpace,
@@ -118,6 +118,50 @@ def _region_is_free(process: GuestProcess, start: int, size: int) -> bool:
     return True
 
 
+def leader_old_ranges(process: GuestProcess,
+                      target: LoadedImage) -> List[OldRange]:
+    """The leader's pointer ranges: the image up to its exact load size,
+    and the heap arena.  A value inside one is a leader address that the
+    follower must see shifted."""
+    heap = process.heap
+    return [OldRange(target.base, target.base + target.image.load_size,
+                     "image"),
+            OldRange(heap.base, heap.base + heap.size, "heap")]
+
+
+def leader_private_ranges(process: GuestProcess,
+                          target: LoadedImage) -> List[Tuple[int, int]]:
+    """The leader's private pages as page-aligned ``(start, end)`` ranges:
+    the image region and the heap arena.  A follower's view leaves them
+    out, and variant reuse watches them for dirty pages."""
+    heap = process.heap
+    return [(target.base, target.base + page_align_up(target.image.load_size)),
+            (heap.base, heap.base + heap.size)]
+
+
+def clone_follower_thread(process: GuestProcess, name: str,
+                          space: AddressSpace, costs: CostModel,
+                          report: VariantReport,
+                          stack_pages: int) -> GuestThread:
+    """``clone()`` the follower thread and wire it to ``space``.  The
+    clone cost lands in ``report.clone_ns``.  The follower computes on its
+    own core: a private counter, not attached to the wall clock.  Wall
+    time only advances through the leader and the lockstep waits the
+    monitor charges."""
+    before = process.counter.total_ns
+    process.kernel.syscall(process, "clone", 0)
+    thread = process.create_thread(name, stack_pages=stack_pages)
+    thread.variant = "follower"
+    report.clone_ns = process.counter.total_ns - before
+    thread.space = space
+    thread.counter = CycleCounter()
+    thread.cpu = CPU(space, counter=thread.counter, costs=costs,
+                     syscall_handler=process._syscall_from_isa,
+                     hl_dispatch=process._hl_dispatch)
+    thread.cpu.trace_hook = process.cpu.trace_hook
+    return thread
+
+
 def choose_shift(process: GuestProcess, target: LoadedImage) -> int:
     heap = process.heap
     image_size = page_align_up(target.image.load_size)
@@ -155,14 +199,8 @@ def create_follower(process: GuestProcess, target: LoadedImage,
     shift = choose_shift(process, target)
     report.shift = shift
 
-    # ---- old ranges: the leader's image region and used heap ----
     heap = process.heap
-    heap_used_start, heap_brk = heap.used_range()
-    old_ranges = [
-        OldRange(target.base, target.base + target.image.load_size,
-                 "image"),
-        OldRange(heap.base, heap.base + heap.size, "heap"),
-    ]
+    heap_brk = heap.used_range()[1]
 
     # ---- copy protected .text pages ----
     text_start, text_size = target.section_range(".text")
@@ -220,12 +258,10 @@ def create_follower(process: GuestProcess, target: LoadedImage,
     process.charge(report.duplication_ns, "variant-copy")
 
     # ---- clone(): the follower thread ----
-    before = process.counter.total_ns
-    process.kernel.syscall(process, "clone", 0)
-    thread = process.create_thread(f"follower:{root_function}",
-                                   stack_pages=stack_pages)
-    thread.variant = "follower"
-    report.clone_ns = process.counter.total_ns - before
+    follower_space = AddressSpace(f"{process.name}:follower")
+    thread = clone_follower_thread(process, f"follower:{root_function}",
+                                   follower_space, costs, report,
+                                   stack_pages)
 
     # ---- the follower's address-space view (paper §3.1/Figure 5) ----
     # Shared pages for everything except the leader's image region and
@@ -234,21 +270,8 @@ def create_follower(process: GuestProcess, target: LoadedImage,
     # copies made above are shared pages visible through both views
     # (the variants live in one process; the monitor writes emulated
     # buffers through either).
-    follower_space = AddressSpace(f"{process.name}:follower")
-    process.space.share_into(follower_space, exclude=[
-        (target.base, target.base + page_align_up(target.image.load_size)),
-        (heap.base, heap.base + heap.size),
-    ])
-    thread.space = follower_space
-    # The follower computes on its own core: a private counter, not
-    # attached to the wall clock.  Wall time only advances through the
-    # leader and the lockstep waits the monitor charges.
-    from repro.machine.costs import CycleCounter
-    thread.counter = CycleCounter()
-    thread.cpu = CPU(follower_space, counter=thread.counter,
-                     costs=costs, syscall_handler=process._syscall_from_isa,
-                     hl_dispatch=process._hl_dispatch)
-    thread.cpu.trace_hook = process.cpu.trace_hook
+    process.space.share_into(follower_space,
+                             exclude=leader_private_ranges(process, target))
 
     # ---- follower heap bookkeeping over the copied region ----
     follower_heap = Heap(process.space, heap.base + shift, heap.size)
@@ -256,8 +279,9 @@ def create_follower(process: GuestProcess, target: LoadedImage,
     process.thread_heaps[thread] = follower_heap
 
     # ---- pointer relocation ----
-    relocator = PointerRelocator(process.space, old_ranges, shift, costs,
-                                 charge=process.charge)
+    relocator = PointerRelocator(process.space,
+                                 leader_old_ranges(process, target), shift,
+                                 costs, charge=process.charge)
     relocation = RelocationReport(shift)
     for section in (".data", ".bss"):
         start, size = target.section_range(section)

@@ -105,6 +105,31 @@ def test_ioctl_fionread_buffer_emulated():
     assert captured["leader"] == captured["follower"] == [8]
 
 
+def test_ioctl_scalar_argument_is_not_copied():
+    """ioctl(conn, FIONBIO, 1) passes a plain integer where FIONREAD passes
+    a pointer: the heuristic must skip the buffer copy, not read the
+    unmapped address 1 out of the leader."""
+    captured = {}
+
+    def toggler(ctx):
+        port = 7804
+        listen_fd = to_signed(ctx.libc("listen_on", port, 4))
+        ctx.process.kernel.network.connect(port)
+        conn = to_signed(ctx.libc("accept4", listen_fd, 0))
+        copied = monitor.stats.bytes_copied
+        rc = to_signed(ctx.libc("ioctl", conn, KernelClass.FIONBIO, 1))
+        captured.setdefault(ctx.thread.variant, []).append(
+            (rc, monitor.stats.bytes_copied - copied))
+        return rc
+
+    proc, monitor, alarms = make_process(("toggler", toggler, 0))
+    assert not proc.space.is_mapped(1)
+    assert run_region(proc, monitor, "toggler") == 0
+    assert not alarms.triggered
+    assert captured["leader"] == captured["follower"] == [(0, 0)]
+    assert monitor.stats.emulated_calls >= 1
+
+
 # -- localtime_r retval aliasing ------------------------------------------------------------
 
 def test_localtime_r_returns_follower_buffer():
