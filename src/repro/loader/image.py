@@ -23,8 +23,10 @@ position independent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ImageError, SymbolNotFound
 from repro.machine.asm import Assembler
@@ -82,22 +84,47 @@ class DataRelocation:
     addend: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProgramImage:
-    """The built, immutable program image."""
+    """The built, immutable program image.
+
+    Frozen, with read-only ``sections`` and tuple-valued tables, so the
+    section layout and ``load_size`` can be computed once here instead of
+    on every address query.
+    """
 
     name: str
-    sections: Dict[str, bytes]
+    sections: Mapping[str, bytes]
     bss_size: int
-    symbols: List[Symbol]
-    hl_functions: List[HLFunction]
+    symbols: Tuple[Symbol, ...]
+    hl_functions: Tuple[HLFunction, ...]
     #: (text_offset, local_hl_index) of every HLCALL site, for loader fixup
-    hl_sites: List[Tuple[int, int]]
-    plt_imports: List[str]
-    relocations: List[DataRelocation]
+    hl_sites: Tuple[Tuple[int, int], ...]
+    plt_imports: Tuple[str, ...]
+    relocations: Tuple[DataRelocation, ...]
+    #: bytes from the base to the end of ``.bss``, page-aligned
+    load_size: int = field(init=False, repr=False, compare=False)
+    _layout: Tuple[Tuple[str, int, int], ...] = field(
+        init=False, repr=False, compare=False)
+    _by_name: Mapping[str, Symbol] = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self) -> None:
-        self._by_name = {sym.name: sym for sym in self.symbols}
+        freeze = functools.partial(object.__setattr__, self)
+        freeze("sections", MappingProxyType(dict(self.sections)))
+        for table in ("symbols", "hl_functions", "hl_sites", "plt_imports",
+                      "relocations"):
+            freeze(table, tuple(getattr(self, table)))
+        freeze("_by_name", {sym.name: sym for sym in self.symbols})
+        layout = []
+        offset = 0
+        for section in SECTION_ORDER:
+            size = (self.bss_size if section == ".bss"
+                    else len(self.sections.get(section, b"")))
+            layout.append((section, offset, size))
+            offset += page_align_up(max(size, 1))
+        freeze("_layout", tuple(layout))
+        freeze("load_size", offset)
 
     def symbol(self, name: str) -> Symbol:
         try:
@@ -111,22 +138,10 @@ class ProgramImage:
     def function_symbols(self) -> List[Symbol]:
         return [s for s in self.symbols if s.kind == "func"]
 
-    def section_layout(self) -> List[Tuple[str, int, int]]:
+    def section_layout(self) -> Tuple[Tuple[str, int, int], ...]:
         """Return ``(section, offset_from_base, size)`` with page alignment,
         in load order."""
-        layout = []
-        offset = 0
-        for section in SECTION_ORDER:
-            size = (self.bss_size if section == ".bss"
-                    else len(self.sections.get(section, b"")))
-            layout.append((section, offset, size))
-            offset += page_align_up(max(size, 1))
-        return layout
-
-    @property
-    def load_size(self) -> int:
-        last = self.section_layout()[-1]
-        return last[1] + page_align_up(max(last[2], 1))
+        return self._layout
 
 
 class ImageBuilder:

@@ -51,9 +51,12 @@ class LoadedImage:
         self.base = base
         self.hl_index_base = hl_index_base
         self.tag = tag
+        self.end = base + image.load_size
         self.section_bases: Dict[str, int] = {}
-        for section, offset, _size in image.section_layout():
+        self._section_ranges: Dict[str, Tuple[int, int]] = {}
+        for section, offset, size in image.section_layout():
             self.section_bases[section] = base + offset
+            self._section_ranges[section] = (base + offset, size)
         # sorted function table for address -> symbol lookup
         self._func_syms = sorted(
             (self.symbol_address(sym.name), sym)
@@ -80,13 +83,13 @@ class LoadedImage:
         return None
 
     def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.base + self.image.load_size
+        return self.base <= addr < self.end
 
     def section_range(self, section: str) -> Tuple[int, int]:
-        for name, offset, size in self.image.section_layout():
-            if name == section:
-                return self.base + offset, size
-        raise ImageError(f"no section {section!r}")
+        try:
+            return self._section_ranges[section]
+        except KeyError:
+            raise ImageError(f"no section {section!r}") from None
 
     def got_slot_address(self, import_name: str) -> int:
         try:

@@ -14,7 +14,7 @@ from repro.core.ipc import (
     LockstepChannel,
 )
 from repro.core.relocate import OldRange, PointerRelocator
-from repro.errors import MvxDivergence
+from repro.errors import MvxDivergence, SegmentationFault
 from repro.machine import AddressSpace, PAGE_SIZE
 from repro.machine.costs import DEFAULT_COSTS
 
@@ -114,6 +114,126 @@ def test_relocation_idempotent_on_out_of_range(values):
     relocator.scan_data_region(base, 8 * len(safe[:32]), "fuzz")
     for i, value in enumerate(safe[:32]):
         assert space.read_word(base + 8 * i, privileged=True) == value
+
+
+def test_slot_offsets_scanned_once_in_bounds_only():
+    """A duplicated offset is one slot (scanned and relocated once), and
+    offsets outside ``[0, size)`` are not slots of the region at all."""
+    space, _ = make_relocator()
+    charges = []
+    relocator = PointerRelocator(
+        space, [OldRange(0x10_0000, 0x11_0000, "image")], SHIFT,
+        DEFAULT_COSTS, charge=lambda ns, category: charges.append(
+            (ns, category)))
+    region = 0x10_0000 + SHIFT + 0x100
+    space.write_word(region - 8, 0x10_0100, privileged=True)
+    space.write_word(region + 8, 0x10_0200, privileged=True)
+    space.write_word(region + 16, 0x10_0300, privileged=True)
+    stats = relocator.scan_data_region(region, 16, "data",
+                                       slot_offsets=[8, 8, 16, -8, 0, 8])
+    assert stats.slots_scanned == 2           # offsets 0 and 8
+    assert stats.pointers_found == 1
+    assert space.read_word(region + 8, privileged=True) == \
+        0x10_0200 + SHIFT                     # shifted once, not twice
+    assert space.read_word(region - 8, privileged=True) == 0x10_0100
+    assert space.read_word(region + 16, privileged=True) == 0x10_0300
+    assert charges == [(2 * DEFAULT_COSTS.data_scan_slot_ns
+                        + DEFAULT_COSTS.pointer_fixup_ns,
+                        "pointer-scan:data")]
+
+
+def test_scan_into_unmapped_page_faults_before_any_write():
+    space = AddressSpace()
+    base = space.mmap(None, PAGE_SIZE)
+    ranges = [OldRange(0x10_0000, 0x11_0000, "image")]
+    relocator = PointerRelocator(space, ranges, SHIFT, DEFAULT_COSTS)
+    space.write_word(base + PAGE_SIZE - 8, 0x10_0040, privileged=True)
+    with pytest.raises(SegmentationFault):
+        relocator.scan_data_region(base + PAGE_SIZE - 64, 128, "data")
+    assert space.read_word(base + PAGE_SIZE - 8, privileged=True) == \
+        0x10_0040
+
+
+def reference_scan(space, old_ranges, shift, charge, start, size, region,
+                   slot_cost_ns, slot_offsets=None):
+    """The per-slot strawman scan: one word read and one range walk per
+    slot, the bulk scanner's specification."""
+    if slot_offsets is None:
+        offsets = range(0, size - size % 8, 8)
+    else:
+        offsets = sorted({o for o in slot_offsets if 0 <= o <= size - 8})
+    found = 0
+    for offset in offsets:
+        value = space.read_word(start + offset, privileged=True)
+        if any(r.start <= value < r.end for r in old_ranges):
+            space.write_word(start + offset, value + shift, privileged=True)
+            found += 1
+    time_ns = (len(offsets) * slot_cost_ns
+               + found * DEFAULT_COSTS.pointer_fixup_ns)
+    charge(time_ns, f"pointer-scan:{region}")
+    return len(offsets), found, time_ns
+
+
+SCAN_PAGES = 3
+SCAN_BASE = 0x4000_0000
+OLD_BASE = 0x5555_0000_0000
+
+
+@st.composite
+def scan_cases(draw):
+    """Old ranges (disjoint, adjacent or overlapping), a region of >= 2
+    pages at a non-page-aligned start with any size, slot contents biased
+    to the range boundaries, and optional slot-offset subsets."""
+    ranges, cursor = [], OLD_BASE
+    for index in range(draw(st.integers(1, 4))):
+        start = cursor + draw(st.one_of(st.just(0), st.integers(-256, 256)))
+        end = start + draw(st.integers(1, 0x400))
+        ranges.append(OldRange(start, end, f"r{index}"))
+        cursor = end
+    skip = 8 * draw(st.integers(1, PAGE_SIZE // 8 - 1))
+    start = SCAN_BASE + skip
+    room = SCAN_PAGES * PAGE_SIZE - skip
+    size = draw(st.integers(PAGE_SIZE - skip + 1, room))
+    edges = [v for r in ranges for v in (r.start - 1, r.start, r.end - 1,
+                                         r.end)]
+    words = SCAN_PAGES * PAGE_SIZE // 8
+    slots = draw(st.dictionaries(
+        st.integers(0, words - 1),
+        st.one_of(st.sampled_from(edges), st.integers(0, (1 << 64) - 1)),
+        max_size=48))
+    offsets = draw(st.one_of(st.none(), st.lists(
+        st.integers(-2, size // 8 + 2).map(lambda i: 8 * i), max_size=24)))
+    return ranges, start, size, slots, offsets
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_cases(), st.sampled_from(["data", "heap"]))
+def test_bulk_scan_matches_per_slot_reference(case, kind):
+    ranges, start, size, slots, offsets = case
+    runs = []
+    for bulk in (True, False):
+        space = AddressSpace()
+        space.mmap(SCAN_BASE, SCAN_PAGES * PAGE_SIZE)
+        for index, value in slots.items():
+            space.write_word(SCAN_BASE + 8 * index, value, privileged=True)
+        charges = []
+        charge = lambda ns, category: charges.append((ns, category))
+        slot_ns = (DEFAULT_COSTS.data_scan_slot_ns if kind == "data"
+                   else DEFAULT_COSTS.heap_scan_slot_ns)
+        if bulk:
+            relocator = PointerRelocator(space, ranges, SHIFT,
+                                         DEFAULT_COSTS, charge=charge)
+            stats = relocator.scan_region(start, size, kind, slot_ns,
+                                          slot_offsets=offsets)
+            result = (stats.slots_scanned, stats.pointers_found,
+                      stats.time_ns)
+        else:
+            result = reference_scan(space, ranges, SHIFT, charge, start,
+                                    size, kind, slot_ns, offsets)
+        memory = space.read(SCAN_BASE, SCAN_PAGES * PAGE_SIZE,
+                            privileged=True)
+        runs.append((result, charges, memory))
+    assert runs[0] == runs[1]
 
 
 # -- the lockstep channel -----------------------------------------------------------

@@ -74,7 +74,28 @@ def test_import_deduplication():
     builder.import_libc("read", "read", "write", "read")
     builder.add_hl_function("f", lambda ctx: 0, 0)
     image = builder.build()
-    assert image.plt_imports == ["read", "write"]
+    assert image.plt_imports == ("read", "write")
+
+
+def test_built_image_is_immutable():
+    """The cached section layout is sound only if nothing can change the
+    sections or their sizes after build()."""
+    builder = ImageBuilder("frozen")
+    builder.add_data("x", b"abcdefgh")
+    builder.add_bss("buf", 64)
+    builder.add_hl_function("f", lambda ctx: 0, 0)
+    image = builder.build()
+    layout, load_size = image.section_layout(), image.load_size
+    with pytest.raises(AttributeError):
+        image.bss_size = 1 << 20
+    with pytest.raises(AttributeError):
+        image.load_size = 0
+    with pytest.raises(TypeError):
+        image.sections[".data"] = b"\x00" * (4 * PAGE_SIZE)
+    with pytest.raises(AttributeError):
+        image.symbols.append(image.symbol("f"))
+    assert image.section_layout() == layout
+    assert image.load_size == load_size
 
 
 def test_hl_sites_match_entry_offsets():
