@@ -123,22 +123,17 @@ def run_nbench_differential(seed: str = "diff/nbench",
                             ) -> DifferentialResult:
     """Compute-only control: no network input, so the dynamic set — and
     the static selection — must both be empty."""
+    from repro.apps.bringup import boot_app
     from repro.apps.nbench import (
         build_nbench_image,
         provision_nbench_files,
     )
-    from repro.core import build_smvx_stub_image
     from repro.kernel import Kernel
-    from repro.libc import build_libc_image
-    from repro.process import GuestProcess
 
     kernel = Kernel(seed=seed)
     provision_nbench_files(kernel.vfs)
-    process = GuestProcess(kernel, "nbench", heap_pages=128)
-    process.load_image(build_libc_image(), tag="libc")
-    process.load_image(build_smvx_stub_image(), tag="libsmvx")
-    loaded = process.load_image(build_nbench_image(), main=True)
-    process.app_config = {"protect": None}
+    process, loaded, _ = boot_app(kernel, "nbench", build_nbench_image(),
+                                  {"protect": None}, heap_pages=128)
     engine = TaintEngine(process).attach()
     try:
         for index in workloads:

@@ -7,14 +7,18 @@
   as the protected root, buffer-heavy request handling (higher
   libc:syscall ratio, Figure 7).
 * ``nbench`` — the BYTEmark suite (Figure 6).
+
+All three come up through :func:`repro.apps.bringup.boot_app`.
 """
 
+from repro.apps.bringup import boot_app
 from repro.apps.minx import build_minx_image, MinxServer
 from repro.apps.littled import build_littled_image, LittledServer
 
 __all__ = [
     "LittledServer",
     "MinxServer",
+    "boot_app",
     "build_littled_image",
     "build_minx_image",
 ]

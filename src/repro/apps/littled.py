@@ -18,13 +18,14 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.apps import httputil
+from repro.apps.bringup import boot_app, maybe_protect, provision_webroot
+from repro.core import AlarmLog
 from repro.kernel.clock import TmStruct
 from repro.kernel.epoll_impl import EPOLL_CTL_ADD, EPOLL_CTL_DEL, EPOLLIN
 from repro.kernel.kernel import Kernel
 from repro.kernel.vfs import O_APPEND, O_CREAT, O_RDONLY, O_WRONLY
 from repro.loader.image import ImageBuilder, ProgramImage
 from repro.process.context import GuestContext, to_signed
-from repro.process.process import GuestProcess
 
 _MASK64 = (1 << 64) - 1
 
@@ -66,19 +67,6 @@ def _globals(ctx: GuestContext) -> int:
     return ctx.symbol("littled_globals")
 
 
-def _maybe_protect(ctx: GuestContext, name: str, *args: int) -> int:
-    config = getattr(ctx.process, "app_config", None) or {}
-    if config.get("protect") == name:
-        name_ptr = ctx.symbol(f"lname_{name}")
-        ctx.libc("mvx_start", name_ptr, len(args), *args)
-        try:
-            result = ctx.call(name, *args)
-        finally:
-            ctx.libc("mvx_end")
-        return result
-    return ctx.call(name, *args)
-
-
 # ---------------------------------------------------------------------------
 # the buffer API (lighttpd's chunk/buffer machinery, libc-call heavy)
 # ---------------------------------------------------------------------------
@@ -103,23 +91,19 @@ def littled_buffer_release(ctx: GuestContext, buf: int) -> int:
 # lifecycle
 # ---------------------------------------------------------------------------
 
-def littled_main(ctx: GuestContext, port: int) -> int:
-    ctx.libc("mvx_init")
+def _open_log(ctx: GuestContext) -> None:
     g = _globals(ctx)
-
     path = ctx.stack_alloc(32)
     ctx.write_cstring(path, b"/var/log/littled.log")
     log_fd = to_signed(ctx.libc("open", path, O_WRONLY | O_CREAT | O_APPEND))
     ctx.write_word(g + G_LOG_FD, log_fd & _MASK64)
 
-    # backlog 511, the production convention (nginx/redis): at C=1000
-    # the accept queue must absorb a connect stampede without refusing
-    # half the fleet into SYN-retransmit storms
-    listen_fd = to_signed(ctx.libc("listen_on", port, 511))
-    if listen_fd < 0:
-        return -1
-    ctx.write_word(g + G_LISTEN_FD, listen_fd)
 
+def _watch_listener(ctx: GuestContext, listen_fd: int) -> None:
+    """Record the listener, build this process's epoll set around it and
+    arm the admission cap."""
+    g = _globals(ctx)
+    ctx.write_word(g + G_LISTEN_FD, listen_fd)
     epfd = to_signed(ctx.libc("epoll_create1", 0))
     ctx.write_word(g + G_EPFD, epfd)
     event = ctx.stack_alloc(16)
@@ -127,6 +111,18 @@ def littled_main(ctx: GuestContext, port: int) -> int:
     ctx.libc("epoll_ctl", epfd, EPOLL_CTL_ADD, listen_fd, event)
     config = getattr(ctx.process, "app_config", None) or {}
     ctx.write_word(g + G_CONN_CAP, int(config.get("conn_cap") or 0))
+
+
+def littled_main(ctx: GuestContext, port: int) -> int:
+    ctx.libc("mvx_init")
+    _open_log(ctx)
+    # backlog 511, the production convention (nginx/redis): at C=1000
+    # the accept queue must absorb a connect stampede without refusing
+    # half the fleet into SYN-retransmit storms
+    listen_fd = to_signed(ctx.libc("listen_on", port, 511))
+    if listen_fd < 0:
+        return -1
+    _watch_listener(ctx, listen_fd)
     ctx.charge(1_800_000)              # config parse + plugin init (once)
     return 0
 
@@ -139,30 +135,16 @@ def littled_worker_main(ctx: GuestContext, port: int,
     Config parsing already happened in the master; the worker only
     re-opens its log and builds its own epoll set."""
     ctx.libc("mvx_init")
-    g = _globals(ctx)
-
-    path = ctx.stack_alloc(32)
-    ctx.write_cstring(path, b"/var/log/littled.log")
-    log_fd = to_signed(ctx.libc("open", path, O_WRONLY | O_CREAT | O_APPEND))
-    ctx.write_word(g + G_LOG_FD, log_fd & _MASK64)
-
+    _open_log(ctx)
     if listen_fd < 0:
         return -1
-    ctx.write_word(g + G_LISTEN_FD, listen_fd)
-
-    epfd = to_signed(ctx.libc("epoll_create1", 0))
-    ctx.write_word(g + G_EPFD, epfd)
-    event = ctx.stack_alloc(16)
-    ctx.write_words(event, [EPOLLIN, listen_fd])
-    ctx.libc("epoll_ctl", epfd, EPOLL_CTL_ADD, listen_fd, event)
-    config = getattr(ctx.process, "app_config", None) or {}
-    ctx.write_word(g + G_CONN_CAP, int(config.get("conn_cap") or 0))
+    _watch_listener(ctx, listen_fd)
     ctx.charge(250_000)               # post-fork re-init (config inherited)
     return 0
 
 
 def littled_pump(ctx: GuestContext) -> int:
-    return _maybe_protect(ctx, "server_main_loop")
+    return maybe_protect(ctx, "server_main_loop")
 
 
 def server_main_loop(ctx: GuestContext) -> int:
@@ -501,7 +483,7 @@ def build_littled_image(bss_kb: int = 64) -> ProgramImage:
         builder.add_hl_function(name, fn, arity, size=size, calls=calls)
     builder.add_rodata("littled_version", b"littled/1.4\x00")
     for name in PROTECTABLE:
-        builder.add_rodata(f"lname_{name}", name.encode() + b"\x00")
+        builder.add_rodata(f"fname_{name}", name.encode() + b"\x00")
     builder.add_data("littled_config",
                      b"server.document-root=/var/www;" + b"\x00" * 34)
     builder.add_pointer_table("littled_plugin_handlers", [
@@ -521,10 +503,6 @@ class LittledWorker:
 
     def __init__(self, server: "LittledServer", index: int, core: int,
                  generation: int = 0):
-        from repro.core import attach_smvx, build_smvx_stub_image
-        from repro.libc import build_libc_image
-
-        config = server._config
         self.server = server
         self.index = index
         self.core = core
@@ -532,27 +510,10 @@ class LittledWorker:
         self.generation = generation
         name = f"{server.name}-w{index}" + \
             (f"g{generation}" if generation else "")
-        self.process = GuestProcess(
-            server.kernel, name,
-            heap_pages=config["heap_pages"],
-            parent_pid=server.master_pid)
-        # bind the worker's cycle counter to its virtual core *before*
-        # anything charges, so boot work lands on core-local time
-        server.sched.bind_core(self.process.counter, core)
-        self.process.load_image(build_libc_image(), tag="libc")
-        self.process.load_image(build_smvx_stub_image(), tag="libsmvx")
-        self.image = build_littled_image(bss_kb=config["bss_kb"])
-        self.loaded = self.process.load_image(self.image, main=True)
-        self.process.app_config = {"protect": config["protect"],
-                                   "conn_cap": config.get("conn_cap", 0)}
-        self.monitor = None
-        if config["smvx"]:
-            self.monitor = attach_smvx(
-                self.process, self.loaded, alarm_log=server.alarms,
-                reuse_variants=config["reuse_variants"],
-                variant_strategy=config["variant_strategy"],
-                strict_verify=config["strict_verify"],
-                auto_scope=config.get("auto_scope", False))
+        self.process, self.loaded, self.monitor = boot_app(
+            server.kernel, name, parent_pid=server.master_pid,
+            clock=server.sched.cores[core], **server._config)
+        self.image = self.loaded.image
         #: the scheduler task driving this worker (set by ``start()``).
         self.task = None
 
@@ -637,24 +598,24 @@ class LittledServer:
                  workers: int = 0, cores: Optional[int] = None,
                  quantum_ns: Optional[float] = None,
                  conn_cap: int = 0):
-        from repro.core import AlarmLog, attach_smvx, build_smvx_stub_image
-        from repro.libc import build_libc_image
-
         self.kernel = kernel
         self.port = port
         self.name = name
-        if not kernel.vfs.exists("/var/www/index.html"):
-            kernel.vfs.write_file("/var/www/index.html",
-                                  b"<html>" + b"x" * 4083 + b"</html>")
+        provision_webroot(kernel)
         self.alarms = AlarmLog()
         self.workers_n = max(0, workers)
+        #: :func:`~repro.apps.bringup.boot_app` arguments shared by the
+        #: single process, every worker and every control-plane restart
         self._config = {
-            "protect": protect, "smvx": smvx, "heap_pages": heap_pages,
-            "bss_kb": bss_kb, "reuse_variants": reuse_variants,
-            "variant_strategy": variant_strategy,
-            "strict_verify": strict_verify,
-            "auto_scope": auto_scope,
-            "conn_cap": max(0, conn_cap),
+            "image": build_littled_image(bss_kb=bss_kb),
+            "app_config": {"protect": protect,
+                           "conn_cap": max(0, conn_cap)},
+            "heap_pages": heap_pages,
+            "monitor": dict(alarm_log=self.alarms,
+                            reuse_variants=reuse_variants,
+                            variant_strategy=variant_strategy,
+                            strict_verify=strict_verify,
+                            auto_scope=auto_scope) if smvx else None,
         }
         #: retired workers (drained generations, crashed processes kept
         #: for post-mortem accounting) and the attached control plane
@@ -681,20 +642,9 @@ class LittledServer:
         self.sched = None
         self.master_pid = None
         self.workers = []
-        self.process = GuestProcess(kernel, name, heap_pages=heap_pages)
-        self.process.load_image(build_libc_image(), tag="libc")
-        self.process.load_image(build_smvx_stub_image(), tag="libsmvx")
-        self.image = build_littled_image(bss_kb=bss_kb)
-        self.loaded = self.process.load_image(self.image, main=True)
-        self.process.app_config = {"protect": protect}
-        self.monitor = None
-        if smvx:
-            self.monitor = attach_smvx(self.process, self.loaded,
-                                       alarm_log=self.alarms,
-                                       reuse_variants=reuse_variants,
-                                       variant_strategy=variant_strategy,
-                                       strict_verify=strict_verify,
-                                       auto_scope=auto_scope)
+        self.process, self.loaded, self.monitor = boot_app(
+            kernel, name, **self._config)
+        self.image = self.loaded.image
 
     def boot_worker(self, worker: LittledWorker) -> int:
         """Fork-style bring-up for a (re)spawned worker: the shared

@@ -28,6 +28,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.apps import httputil
+from repro.apps.bringup import boot_app, maybe_protect, provision_webroot
+from repro.core import AlarmLog
 from repro.kernel.clock import TmStruct
 from repro.kernel.epoll_impl import EPOLL_CTL_ADD, EPOLL_CTL_DEL, EPOLLIN
 from repro.kernel.kernel import Kernel
@@ -35,7 +37,6 @@ from repro.kernel.vfs import O_APPEND, O_CREAT, O_RDONLY, O_WRONLY
 from repro.loader.image import ImageBuilder, ProgramImage
 from repro.machine.asm import Assembler
 from repro.process.context import GuestContext, to_signed
-from repro.process.process import GuestProcess
 
 _MASK64 = (1 << 64) - 1
 
@@ -97,21 +98,6 @@ def _globals(ctx: GuestContext) -> int:
     return ctx.symbol("minx_globals")
 
 
-def _maybe_protect(ctx: GuestContext, name: str, *args: int) -> int:
-    """Listing 1 in helper form: wrap the call in mvx_start/mvx_end when
-    the annotation chose this function as the protected root."""
-    config = getattr(ctx.process, "app_config", None) or {}
-    if config.get("protect") == name:
-        name_ptr = ctx.symbol(f"fname_{name}")
-        ctx.libc("mvx_start", name_ptr, len(args), *args)
-        try:
-            result = ctx.call(name, *args)
-        finally:
-            ctx.libc("mvx_end")
-        return result
-    return ctx.call(name, *args)
-
-
 # ---------------------------------------------------------------------------
 # initialization
 # ---------------------------------------------------------------------------
@@ -151,7 +137,7 @@ def minx_main(ctx: GuestContext, port: int) -> int:
 
 def minx_pump(ctx: GuestContext) -> int:
     """One scheduling quantum: run the (possibly protected) event loop."""
-    return _maybe_protect(ctx, "minx_process_events_and_timers")
+    return maybe_protect(ctx, "minx_process_events_and_timers")
 
 
 def minx_process_events_and_timers(ctx: GuestContext) -> int:
@@ -180,7 +166,7 @@ def minx_process_events_and_timers(ctx: GuestContext) -> int:
             if data == listen_fd:
                 ctx.call("minx_event_accept")
             else:
-                served += to_signed(_maybe_protect(
+                served += to_signed(maybe_protect(
                     ctx, "minx_http_wait_request_handler", data))
     return served
 
@@ -250,7 +236,7 @@ def minx_http_wait_request_handler(ctx: GuestContext, conn: int) -> int:
         ctx.write_word(conn + CONN_HEADERS_END, headers_end + 4)
         ctx.charge(48_000)             # connection/request pool setup
 
-        _maybe_protect(ctx, "minx_http_process_request_line", conn)
+        maybe_protect(ctx, "minx_http_process_request_line", conn)
 
         # measure this request's footprint *before* finalize wipes the
         # connection state for keep-alive reuse
@@ -265,7 +251,7 @@ def minx_http_wait_request_handler(ctx: GuestContext, conn: int) -> int:
         remainder = ctx.read(buf + consumed, max(cur_len - consumed, 0)) \
             if keep else b""
 
-        _maybe_protect(ctx, "minx_http_finalize_request", conn)
+        maybe_protect(ctx, "minx_http_finalize_request", conn)
         served += 1
         if not keep:
             return served              # finalize closed the connection
@@ -306,7 +292,7 @@ def minx_http_process_request_line(ctx: GuestContext, conn: int) -> int:
         uri_off = line.find(parts[1])
         ctx.write_word(conn + CONN_URI_OFF, uri_off)
         ctx.write_word(conn + CONN_URI_LEN, len(uri))
-    return _maybe_protect(ctx, "minx_http_process_request_headers", conn)
+    return maybe_protect(ctx, "minx_http_process_request_headers", conn)
 
 
 def minx_http_process_request_headers(ctx: GuestContext, conn: int) -> int:
@@ -357,7 +343,7 @@ def minx_http_process_request_headers(ctx: GuestContext, conn: int) -> int:
         cursor += 1
     ctx.charge(55_000)                 # per-header hash/validate passes
 
-    return _maybe_protect(ctx, "minx_http_handler", conn)
+    return maybe_protect(ctx, "minx_http_handler", conn)
 
 
 def minx_http_handler(ctx: GuestContext, conn: int) -> int:
@@ -499,7 +485,7 @@ def minx_http_static_handler(ctx: GuestContext, conn: int) -> int:
     ctx.write_word(conn + CONN_STATUS, 200)
     ctx.charge(50_000)                 # mime lookup, cache consult
 
-    _maybe_protect(ctx, "minx_http_header_filter", conn, 200, size)
+    maybe_protect(ctx, "minx_http_header_filter", conn, 200, size)
 
     fd = to_signed(ctx.read_word(conn + CONN_FD))
     method = to_signed(ctx.read_word(conn + CONN_METHOD))
@@ -589,7 +575,7 @@ def minx_http_log_access(ctx: GuestContext, conn: int) -> int:
 
 def minx_http_finalize_request(ctx: GuestContext, conn: int) -> int:
     g = _globals(ctx)
-    _maybe_protect(ctx, "minx_http_log_access", conn)
+    maybe_protect(ctx, "minx_http_log_access", conn)
     ctx.write_word(g + G_SERVED, ctx.read_word(g + G_SERVED) + 1)
     # reset the buffer for keep-alive reuse
     buf = ctx.read_word(conn + CONN_BUF)
@@ -763,29 +749,19 @@ class MinxServer:
                  variant_strategy: str = "shift",
                  strict_verify: bool = False,
                  auto_scope: bool = False):
-        from repro.core import AlarmLog, attach_smvx, build_smvx_stub_image
-        from repro.libc import build_libc_image
-
         self.kernel = kernel
         self.port = port
-        if not kernel.vfs.exists("/var/www/index.html"):
-            kernel.vfs.write_file("/var/www/index.html",
-                                  b"<html>" + b"x" * 4083 + b"</html>")
-        self.process = GuestProcess(kernel, name, heap_pages=heap_pages)
-        self.process.load_image(build_libc_image(), tag="libc")
-        self.process.load_image(build_smvx_stub_image(), tag="libsmvx")
-        self.image = build_minx_image(bss_kb=bss_kb)
-        self.loaded = self.process.load_image(self.image, main=True)
-        self.process.app_config = {"protect": protect}
+        provision_webroot(kernel)
         self.alarms = AlarmLog()
-        self.monitor = None
-        if smvx:
-            self.monitor = attach_smvx(self.process, self.loaded,
-                                       alarm_log=self.alarms,
-                                       reuse_variants=reuse_variants,
-                                       variant_strategy=variant_strategy,
-                                       strict_verify=strict_verify,
-                                       auto_scope=auto_scope)
+        self.process, self.loaded, self.monitor = boot_app(
+            kernel, name, build_minx_image(bss_kb=bss_kb),
+            {"protect": protect}, heap_pages=heap_pages,
+            monitor=dict(alarm_log=self.alarms,
+                         reuse_variants=reuse_variants,
+                         variant_strategy=variant_strategy,
+                         strict_verify=strict_verify,
+                         auto_scope=auto_scope) if smvx else None)
+        self.image = self.loaded.image
 
     def start(self) -> int:
         return self.process.call_function("minx_main", self.port)

@@ -10,15 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.apps.bringup import boot_app
 from repro.apps.nbench.workloads import (
     NBENCH_WORKLOADS,
     build_nbench_image,
     provision_nbench_files,
 )
-from repro.core import AlarmLog, attach_smvx, build_smvx_stub_image
+from repro.core import AlarmLog
 from repro.kernel import Kernel
-from repro.libc import build_libc_image
-from repro.process import GuestProcess
+from repro.machine.costs import CostModel, DEFAULT_COSTS
 from repro.process.context import to_signed
 
 
@@ -45,7 +45,7 @@ class NbenchResult:
 class NbenchHarness:
     """Runs the suite in both configurations on fresh machines."""
 
-    def __init__(self, runs: int = 3, costs=None,
+    def __init__(self, runs: int = 3, costs: CostModel = DEFAULT_COSTS,
                  variant_strategy: str = "shift", fault_schedule=None):
         self.runs = runs
         self.costs = costs
@@ -59,20 +59,15 @@ class NbenchHarness:
         provision_nbench_files(kernel.vfs)
         if self.fault_schedule is not None:
             kernel.faults.install(self.fault_schedule)
-        if self.costs is not None:
-            process = GuestProcess(kernel, "nbench", heap_pages=128,
-                                   costs=self.costs)
-        else:
-            process = GuestProcess(kernel, "nbench", heap_pages=128)
-        process.load_image(build_libc_image(), tag="libc")
-        process.load_image(build_smvx_stub_image(), tag="libsmvx")
-        target = process.load_image(build_nbench_image(), main=True)
         spec = NBENCH_WORKLOADS[index]
-        process.app_config = {"protect": spec.func if smvx else None}
         alarms = AlarmLog()
-        if smvx:
-            attach_smvx(process, target, alarm_log=alarms,
-                        variant_strategy=self.variant_strategy)
+        process, _, _ = boot_app(
+            kernel, "nbench", build_nbench_image(),
+            {"protect": spec.func if smvx else None}, heap_pages=128,
+            costs=self.costs,
+            monitor=dict(alarm_log=alarms,
+                         variant_strategy=self.variant_strategy)
+            if smvx else None)
         before = process.counter.total_ns
         checksum = to_signed(process.call_function("nb_main", index))
         elapsed = process.counter.total_ns - before

@@ -286,13 +286,6 @@ class Scheduler:
             if skew:
                 core.advance_ns(skew)
 
-    def bind_core(self, counter, core: int) -> CoreClock:
-        """Attach a process's cycle counter to a core's local clock (the
-        multi-worker analogue of ``Kernel.attach_counter``)."""
-        clock = self.cores[core]
-        counter.clock = clock
-        return clock
-
     def cancel(self, task: SchedTask) -> None:
         """Request cooperative cancellation.
 

@@ -109,14 +109,12 @@ class Recorder:
     """
 
     def __init__(self, kernel, scenario: Optional[Dict] = None,
-                 capacity: int = 4096, trace_instructions: bool = False,
-                 capsule_window: int = DEFAULT_CAPSULE_WINDOW):
+                 capacity: int = 4096, trace_instructions: bool = False):
         self.kernel = kernel
         self.scenario = dict(scenario or {})
         self.ring = RingRecorder(capacity)
         self.metrics: MetricsRegistry = self.ring.metrics
         self.trace_instructions = trace_instructions
-        self.capsule_window = capsule_window
         self.server = None
         self.process = None
         self.supervisor = None
@@ -364,7 +362,7 @@ class Recorder:
             task=report.task_id, guest_pc=report.guest_pc,
             detail=report.detail)
         self._pending_capsules.append(
-            (report, self.ring.tail(self.capsule_window)))
+            (report, self.ring.tail(DEFAULT_CAPSULE_WINDOW)))
 
     def _on_instruction(self, state, addr: int, instr) -> None:
         self.ring.emit(EventKind.INSTRUCTION, self._now, instr.op.name,
@@ -534,7 +532,6 @@ class Recorder:
 
 def record_minx(seed: str = "smvx-repro", capacity: int = 4096,
                 trace_instructions: bool = False,
-                capsule_window: int = DEFAULT_CAPSULE_WINDOW,
                 fault_schedule=None,
                 **minx_kwargs):
     """Build a freshly seeded kernel + MinxServer with a recorder
@@ -559,8 +556,7 @@ def record_minx(seed: str = "smvx-repro", capacity: int = 4096,
         kernel.faults.install(fault_schedule)
     recorder = Recorder(
         kernel, scenario=scenario,
-        capacity=capacity, trace_instructions=trace_instructions,
-        capsule_window=capsule_window)
+        capacity=capacity, trace_instructions=trace_instructions)
     recorder.attach_server(server)
     server.start()
     return kernel, server, recorder
@@ -619,7 +615,6 @@ def record_littled(seed: str = "smvx-repro", capacity: int = 4096,
                    workload: Optional[Dict] = None,
                    control: Optional[Dict] = None,
                    trace_instructions: bool = False,
-                   capsule_window: int = DEFAULT_CAPSULE_WINDOW,
                    fault_schedule=None,
                    **littled_kwargs):
     """Like :func:`record_minx` but for littled, including the scheduled
@@ -651,8 +646,7 @@ def record_littled(seed: str = "smvx-repro", capacity: int = 4096,
         kernel.faults.install(fault_schedule)
     recorder = Recorder(
         kernel, scenario=scenario,
-        capacity=capacity, trace_instructions=trace_instructions,
-        capsule_window=capsule_window)
+        capacity=capacity, trace_instructions=trace_instructions)
     recorder.attach_server(server)
     server.start()
     apply_control_plane(kernel, server, control, recorder)

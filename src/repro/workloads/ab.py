@@ -93,7 +93,7 @@ class ApacheBench:
     """``ab -n <requests> -k`` against a simulated server."""
 
     def __init__(self, kernel: Kernel, server, path: str = "/index.html",
-                 keepalive: bool = True, host: str = "localhost",
+                 keepalive: bool = True,
                  max_stalls: int = 2, timeout_ns: float = 50_000_000,
                  client_mode: str = "normal", drip_bytes: int = 16,
                  drip_delay_ns: int = 200_000, chunk_bytes: int = 256,
@@ -106,7 +106,6 @@ class ApacheBench:
         self.server = server            # MinxServer / LittledServer-like
         self.path = path
         self.keepalive = keepalive
-        self.host = host
         self.client_mode = client_mode
         #: slowloris shape: piece size and per-piece pacing delay.
         self.drip_bytes = max(1, drip_bytes)
@@ -148,7 +147,7 @@ class ApacheBench:
                        method: str = "GET") -> bytes:
         connection = "keep-alive" if self.keepalive else "close"
         return (f"{method} {path or self.path} HTTP/1.1\r\n"
-                f"Host: {self.host}\r\n"
+                "Host: localhost\r\n"
                 f"User-Agent: ab/2.3-repro\r\n"
                 f"Accept: */*\r\n"
                 f"Connection: {connection}\r\n"
@@ -162,7 +161,7 @@ class ApacheBench:
         connection = "keep-alive" if self.keepalive else "close"
         size = self.chunk_bytes
         head = (f"POST {path or self.path} HTTP/1.1\r\n"
-                f"Host: {self.host}\r\n"
+                "Host: localhost\r\n"
                 f"User-Agent: ab/2.3-repro\r\n"
                 f"Transfer-Encoding: chunked\r\n"
                 f"Connection: {connection}\r\n"

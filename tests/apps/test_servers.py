@@ -236,3 +236,14 @@ def test_minx_keepalive_post_body_with_fake_headers(kernel):
     second = sock.recv_wait(8192)
     assert second.startswith(b"HTTP/1.1 200")
     assert server.served == 2
+
+
+def test_pump_mode_littled_honours_conn_cap(kernel):
+    """The single-process server takes ``conn_cap`` too: at capacity it
+    gates its listener, so a second client stays queued."""
+    server = LittledServer(kernel, conn_cap=1)
+    server.start()
+    kernel.network.connect(server.port)
+    kernel.network.connect(server.port)
+    server.pump()
+    assert kernel.network.listener_at(server.port).pending_count() == 1

@@ -3,7 +3,14 @@ drop/retransmit, reorder, and partition schedules must inject faults
 without ever producing a spurious divergence (the link is a reliable
 in-order transport; faults only move delivery times)."""
 
-from repro.cluster.scenarios import run_distributed_ab, run_link_battery
+import pytest
+
+from repro.cluster.scenarios import (
+    build_littled_cluster,
+    build_minx_cluster,
+    run_distributed_ab,
+    run_link_battery,
+)
 from repro.kernel.faults import FaultSchedule, battery
 
 
@@ -50,3 +57,17 @@ def test_faulted_run_still_replays_bit_identically():
     for host_id, (want, got) in enumerate(zip(first, second)):
         assert want == got, f"host{host_id} footer diverged"
     assert first[0]["wire_digest"] == second[0]["wire_digest"]
+
+
+@pytest.mark.parametrize("build", [build_minx_cluster,
+                                   build_littled_cluster])
+def test_recorded_scenario_keeps_the_fault_schedule(build):
+    """Every host's trace scenario carries the link-fault schedule, so a
+    faulted cluster trace says which faults it was recorded under."""
+    schedule = FaultSchedule(name="mix", link_delay_p=0.4,
+                             link_delay_ns=80_000)
+    run = build(seed="scenario-schedule", record=True,
+                fault_schedule=schedule, start=False)
+    assert len(run.recorders) == 2
+    for recorder in run.recorders:
+        assert recorder.scenario["fault_schedule"] == schedule.to_dict()
