@@ -24,7 +24,8 @@ where link latency actually lands (region verdicts).  Results go to
 import json
 import os
 
-from repro.cluster.scenarios import MINX_PROTECT, build_minx_cluster
+from repro.cluster.scenarios import minx_cluster
+from repro.deploy import MINX_PROTECT, Workload, deploy
 from repro.kernel import Kernel
 from repro.mvx import PtraceMvx, RemoteMvx
 from repro.workloads import ApacheBench
@@ -63,12 +64,11 @@ def _inprocess() -> dict:
 
 
 def _distributed(latency_ns) -> dict:
-    run = build_minx_cluster(seed="bench-cluster", latency_ns=latency_ns)
-    kernel = run.cluster.host(0).kernel
-    result = ApacheBench(kernel, run.leader).run(REQUESTS)
+    run = deploy(minx_cluster("bench-cluster", latency_ns,
+                              workload=Workload(REQUESTS)))
     run.dsmvx.settle()
-    return _row("smvx-distributed", latency_ns, result,
-                len(run.leader.alarms.alarms))
+    return _row("smvx-distributed", latency_ns, run.result,
+                len(run.server.alarms.alarms))
 
 
 def _remote_whole(latency_ns) -> dict:

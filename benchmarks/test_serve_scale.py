@@ -81,18 +81,19 @@ def _serve(workers: int) -> dict:
 def _supervised_determinism() -> dict:
     """Record a supervised kill + reload run twice; the footer pins
     (scheduler digest, supervisor history) must match bit-for-bit."""
-    from repro.trace import record_littled
+    from repro.deploy import (Control, Deployment, WorkerKill, Workload,
+                              deploy)
+
+    spec = Deployment(
+        app="littled", seed="bench-serve-ctl", workers=2,
+        workload=Workload(60, concurrency=12, timeout_ns=TIMEOUT_NS),
+        control=Control(reload_at_ns=6_000_000,
+                        worker_kills=(WorkerKill(1, 2_000_000),)))
 
     def one():
-        kernel, server, recorder = record_littled(
-            seed="bench-serve-ctl",
-            workload={"requests": 60, "concurrency": 12,
-                      "timeout_ns": TIMEOUT_NS},
-            control={"restart_budget": 2, "reload_at_ns": 6_000_000,
-                     "worker_kills": [{"slot": 1, "at_ns": 2_000_000}]},
-            workers=2)
-        trace = recorder.finish()
-        server.shutdown()
+        run = deploy(spec, record=True)
+        trace = run.recorder.finish()
+        run.server.shutdown()
         return trace
 
     first, second = one(), one()

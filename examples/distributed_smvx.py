@@ -18,11 +18,11 @@ Run:  python examples/distributed_smvx.py
 """
 
 from repro.cluster.scenarios import (
-    build_minx_cluster,
     compare_cve_alarms,
+    minx_cluster,
     replay_cluster,
 )
-from repro.workloads import ApacheBench
+from repro.deploy import Workload, deploy
 
 
 def banner(text):
@@ -31,15 +31,14 @@ def banner(text):
 
 def main():
     banner("1) benign traffic, leader on host 0, monitor on host 1")
-    run = build_minx_cluster(seed="example-cluster")
-    kernel = run.cluster.host(0).kernel
-    result = ApacheBench(kernel, run.leader).run(6)
+    run = deploy(minx_cluster("example-cluster", workload=Workload(6)))
+    result = run.result
     run.dsmvx.settle()
     monitor = run.dsmvx.monitor
     out_link = run.cluster.link(0, 1)
     print(f"requests completed: {result.requests_completed}/6  "
           f"statuses: {result.status_counts}  alarms: "
-          f"{len(run.leader.alarms.alarms)}")
+          f"{len(run.server.alarms.alarms)}")
     print(f"regions shipped: {monitor.stats.regions_entered}  "
           f"calls replayed remotely: "
           f"{run.dsmvx.runners[0].events_played}")

@@ -13,15 +13,16 @@ Run:  python examples/record_replay_capsule.py
 import tempfile
 
 from repro.attacks import run_exploit
-from repro.trace import DivergenceCapsule, Trace, record_minx, replay_trace
+from repro.deploy import MINX_PROTECT, Deployment, deploy
+from repro.trace import DivergenceCapsule, Trace, replay_trace
 from repro.workloads import ApacheBench
 
 
 def main():
     print("1) record: protected minx, 3 requests, then the exploit")
-    kernel, server, recorder = record_minx(
-        protect="minx_http_process_request_line", smvx=True)
-    result = ApacheBench(kernel, server).run(3)
+    run = deploy(Deployment(protect=MINX_PROTECT, smvx=True), record=True)
+    server, recorder = run.server, run.recorder
+    result = ApacheBench(run.kernel, server).run(3)
     print(f"   benign traffic: {result.status_counts}")
     outcome = run_exploit(server)
     print(f"   attack detected and blocked: "

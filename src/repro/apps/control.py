@@ -274,18 +274,22 @@ class Supervisor:
         }
 
 
-def spawn_worker_kill(server: LittledServer, slot: int,
-                      at_ns: float) -> None:
+def spawn_worker_kill(server: LittledServer, slot: int, at_ns: float,
+                      name: Optional[str] = None):
     """Chaos helper: a coreless task that cancels worker ``slot``'s task
     at virtual instant ``at_ns`` — the deterministic stand-in for a
-    worker segfault mid-load.  Shared by the recorder and the replayer so
-    supervised-kill runs reproduce exactly."""
+    worker segfault mid-load.  A kill cancelled before its instant does
+    nothing.  Returns the chaos task, named ``name`` or
+    ``<server>-chaos-kill-w<slot>``."""
     sched = server.sched
     victim = server.workers[slot]
 
     def chaos() -> None:
         sched.park(deadline_ns=at_ns)
+        me = sched.current
+        if me is not None and me.cancelled:
+            return
         if victim.task is not None and not victim.task.done:
             sched.cancel(victim.task)
 
-    sched.spawn(f"{server.name}-chaos-kill-w{slot}", chaos)
+    return sched.spawn(name or f"{server.name}-chaos-kill-w{slot}", chaos)

@@ -25,27 +25,28 @@ from typing import List, Optional
 
 from repro.cluster.scenarios import (
     compare_cve_alarms,
+    minx_cluster,
     replay_cluster,
     run_distributed_ab,
     run_link_battery,
 )
+from repro.deploy import LITTLED_PROTECT, Deployment, Workload, deploy
 from repro.trace.merge import merge_summary, merge_traces
 
 
 def _cmd_demo(args) -> int:
     if args.app == "littled":
-        from repro.cluster.scenarios import build_littled_cluster
-        from repro.workloads import ApacheBench
-
-        run = build_littled_cluster(seed=args.seed,
-                                    latency_ns=args.latency_ns,
-                                    workers=args.workers)
-        result = ApacheBench(run.cluster.host(0).kernel, run.leader).run(
-            args.requests, concurrency=min(args.requests, 4))
-        run.leader.shutdown()
+        run = deploy(Deployment(
+            app="littled", seed=args.seed, cluster=True,
+            latency_ns=args.latency_ns, workers=args.workers,
+            protect=LITTLED_PROTECT, smvx=True,
+            workload=Workload(args.requests,
+                              concurrency=min(args.requests, 4))))
+        result = run.result
+        run.server.shutdown()
         run.finish()
         session = {"result": result, "run": run,
-                   "alarms": len(run.leader.alarms.alarms)}
+                   "alarms": len(run.server.alarms.alarms)}
         print(f"scheduled serving: {result.workers} workers, "
               f"concurrency {result.concurrency}, "
               f"sched {result.sched_status!r}")
@@ -83,12 +84,9 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_record(args) -> int:
-    from repro.cluster.scenarios import build_minx_cluster
-    from repro.workloads import ApacheBench
-
-    run = build_minx_cluster(seed=args.seed, latency_ns=args.latency_ns,
-                             record=True)
-    ApacheBench(run.cluster.host(0).kernel, run.leader).run(args.requests)
+    run = deploy(minx_cluster(args.seed, args.latency_ns,
+                              workload=Workload(args.requests)),
+                 record=True)
     traces = run.finish()
     paths = []
     for trace in traces:

@@ -1,117 +1,29 @@
-"""Canned distributed-sMVX scenarios: builders, sessions, and the
-CVE / battery / replay drivers used by tests, benchmarks, and the CLI.
+"""Canned distributed-sMVX scenarios: the CVE / battery / replay drivers
+used by tests, benchmarks, and the CLI.
 
-Every scenario is a pure function of its seed: building the same
-scenario twice and driving it with the same stimulus reproduces every
-host's trace footer and the merged event order bit-for-bit.
+Each is a :class:`~repro.deploy.Deployment` with ``cluster=True``, so it
+is a pure function of its spec: deploying the same spec twice
+reproduces every host's trace footer and the merged event order
+bit-for-bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro.cluster.host import Cluster
-from repro.cluster.remote import DistributedSmvx
+from repro.deploy import MINX_PROTECT, Deployment, Workload, deploy
 from repro.kernel.faults import FaultSchedule
 from repro.trace.merge import merge_digest, merge_traces
-from repro.trace.record import Recorder, Trace
-
-MINX_PROTECT = "minx_http_process_request_line"
-LITTLED_PROTECT = "server_main_loop"
+from repro.trace.record import Trace
 
 
-@dataclass
-class ClusterRun:
-    """A wired-up distributed deployment, ready to drive."""
-
-    cluster: Cluster
-    leader: object
-    mirror: object
-    dsmvx: DistributedSmvx
-    recorders: List[Recorder] = field(default_factory=list)
-
-    def finish(self) -> List[Trace]:
-        """Drain in-flight frames and close every host's recorder."""
-        self.dsmvx.settle()
-        return [recorder.finish() for recorder in self.recorders]
-
-
-def build_minx_cluster(seed: str = "smvx-cluster",
-                       latency_ns: float = 100_000,
-                       protect: str = MINX_PROTECT,
-                       sensitive: Optional[Sequence[str]] = None,
-                       record: bool = False, capacity: int = 4096,
-                       fault_schedule: Optional[FaultSchedule] = None,
-                       start: bool = True) -> ClusterRun:
-    """Leader minx on host 0, mirror variant + monitor on host 1."""
-    from repro.apps.minx import MinxServer
-
-    cluster = Cluster(seed=seed, hosts=2, latency_ns=latency_ns)
-    leader = MinxServer(cluster.host(0).kernel, protect=protect,
-                        smvx=False)
-    mirror = MinxServer(cluster.host(1).kernel, protect=protect,
-                        smvx=True)
-    dsmvx = DistributedSmvx(cluster, leader, mirror, sensitive=sensitive)
-    run = ClusterRun(cluster, leader, mirror, dsmvx)
-    if record:
-        run.recorders = _attach_recorders(
-            cluster, (leader, mirror), capacity,
-            {"app": "minx-cluster", "seed": seed,
-             "latency_ns": latency_ns, "protect": protect,
-             "fault_schedule": fault_schedule.to_dict()
-             if fault_schedule is not None else None})
-    if fault_schedule is not None:
-        cluster.install_link_faults(fault_schedule)
-    if start:
-        leader.start()
-    return run
-
-
-def build_littled_cluster(seed: str = "smvx-cluster",
-                          latency_ns: float = 100_000,
-                          workers: int = 2,
-                          protect: str = LITTLED_PROTECT,
-                          sensitive: Optional[Sequence[str]] = None,
-                          record: bool = False, capacity: int = 4096,
-                          fault_schedule: Optional[FaultSchedule] = None,
-                          start: bool = True) -> ClusterRun:
-    """Pre-forked littled on host 0 (scheduled serving), one mirror
-    worker per leader worker on host 1, one wire channel per pair."""
-    from repro.apps.littled import LittledServer
-
-    cluster = Cluster(seed=seed, hosts=2, latency_ns=latency_ns)
-    leader = LittledServer(cluster.host(0).kernel, protect=protect,
-                           smvx=False, workers=workers)
-    mirror = LittledServer(cluster.host(1).kernel, protect=protect,
-                           smvx=True, workers=workers)
-    dsmvx = DistributedSmvx(cluster, leader, mirror, sensitive=sensitive)
-    run = ClusterRun(cluster, leader, mirror, dsmvx)
-    if record:
-        run.recorders = _attach_recorders(
-            cluster, (leader, mirror), capacity,
-            {"app": "littled-cluster", "seed": seed,
-             "latency_ns": latency_ns, "protect": protect,
-             "workers": workers,
-             "fault_schedule": fault_schedule.to_dict()
-             if fault_schedule is not None else None})
-    if fault_schedule is not None:
-        cluster.install_link_faults(fault_schedule)
-    if start:
-        leader.start()
-    return run
-
-
-def _attach_recorders(cluster: Cluster, servers, capacity: int,
-                      scenario: Dict) -> List[Recorder]:
-    recorders = []
-    for host_id, server in enumerate(servers):
-        recorder = Recorder(cluster.host(host_id).kernel,
-                            scenario=dict(scenario, host=host_id),
-                            capacity=capacity)
-        recorder.attach_server(server)
-        recorders.append(recorder)
-    return recorders
+def minx_cluster(seed: str = "smvx-cluster", latency_ns: float = 100_000,
+                 protect: Optional[str] = MINX_PROTECT,
+                 **spec) -> Deployment:
+    """Distributed minx: leader on host 0, mirror variant + monitor on
+    host 1, by default protecting the request-line parser."""
+    return Deployment(seed=seed, cluster=True, latency_ns=latency_ns,
+                      protect=protect, smvx=True, **spec)
 
 
 # -- drivers -------------------------------------------------------------------
@@ -122,40 +34,31 @@ def run_distributed_cve(seed: str = "smvx-cluster",
                         record: bool = False) -> Dict:
     """Fire CVE-2013-2028 at the distributed deployment; the verdict
     must come back from the remote monitor before mkdir executes."""
-    from repro.attacks import run_exploit
     from repro.attacks.cve_2013_2028 import VICTIM_DIRECTORY
 
-    run = build_minx_cluster(seed=seed, latency_ns=latency_ns,
-                             record=record)
-    outcome = run_exploit(run.leader)
+    run = deploy(minx_cluster(seed, latency_ns, attack="cve"),
+                 record=record)
     traces = run.finish()
-    alarm = run.leader.alarms.alarms[0] if run.leader.alarms.alarms \
-        else None
+    alarms = run.server.alarms.alarms
     return {
         "run": run,
-        "outcome": outcome,
+        "outcome": run.exploit,
         "traces": traces,
-        "alarm": alarm,
-        "directory_created":
-            run.cluster.host(0).kernel.vfs.is_dir(VICTIM_DIRECTORY),
+        "alarm": alarms[0] if alarms else None,
+        "directory_created": run.kernel.vfs.is_dir(VICTIM_DIRECTORY),
     }
 
 
 def run_inprocess_cve(seed: str = "smvx-cluster") -> Dict:
     """The single-host §4.2 experiment, seeded like host 0 of the
     cluster so both deployments see the same leader kernel stream."""
-    from repro.apps.minx import MinxServer
-    from repro.attacks import run_exploit
     from repro.attacks.cve_2013_2028 import VICTIM_DIRECTORY
-    from repro.kernel.kernel import Kernel
 
-    kernel = Kernel(seed=f"{seed}/host0")
-    server = MinxServer(kernel, protect=MINX_PROTECT, smvx=True)
-    server.start()
-    outcome = run_exploit(server)
-    alarm = server.alarms.alarms[0] if server.alarms.alarms else None
-    return {"outcome": outcome, "alarm": alarm,
-            "directory_created": kernel.vfs.is_dir(VICTIM_DIRECTORY)}
+    run = deploy(Deployment(seed=f"{seed}/host0", protect=MINX_PROTECT,
+                            smvx=True, attack="cve"))
+    alarms = run.server.alarms.alarms
+    return {"outcome": run.exploit, "alarm": alarms[0] if alarms else None,
+            "directory_created": run.kernel.vfs.is_dir(VICTIM_DIRECTORY)}
 
 
 def compare_cve_alarms(seed: str = "smvx-cluster",
@@ -192,16 +95,13 @@ def run_distributed_ab(seed: str = "smvx-cluster",
                        record: bool = False) -> Dict:
     """Benign traffic against distributed minx; every request opens a
     region whose events cross the wire."""
-    from repro.workloads.ab import ApacheBench
-
-    run = build_minx_cluster(seed=seed, latency_ns=latency_ns,
-                             record=record,
-                             fault_schedule=fault_schedule)
-    result = ApacheBench(run.cluster.host(0).kernel, run.leader).run(
-        requests)
+    run = deploy(minx_cluster(seed, latency_ns,
+                              link_faults=fault_schedule,
+                              workload=Workload(requests)),
+                 record=record)
     traces = run.finish()
-    return {"run": run, "result": result, "traces": traces,
-            "alarms": len(run.leader.alarms.alarms)}
+    return {"run": run, "result": run.result, "traces": traces,
+            "alarms": len(run.server.alarms.alarms)}
 
 
 def run_link_battery(seed: str = "smvx-cluster",
@@ -239,12 +139,10 @@ def replay_cluster(seed: str = "smvx-cluster",
     compare every host's footer pins plus the causally-merged order."""
     from repro.trace.replay import _diff_footers
 
+    spec = minx_cluster(seed, latency_ns, workload=Workload(requests))
+
     def session() -> List[Trace]:
-        run = build_minx_cluster(seed=seed, latency_ns=latency_ns,
-                                 record=True)
-        from repro.workloads.ab import ApacheBench
-        ApacheBench(run.cluster.host(0).kernel, run.leader).run(requests)
-        return run.finish()
+        return deploy(spec, record=True).finish()
 
     recorded = session()
     replayed = session()

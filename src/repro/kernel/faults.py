@@ -41,10 +41,11 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.kernel.errno_codes import Errno
+from repro.schema import load
 
 #: syscalls a fault schedule may interrupt with EINTR; the libc layer
 #: restarts these (SA_RESTART semantics), so the guest never sees the
@@ -148,7 +149,7 @@ class FaultSchedule:
             return
         for entry in self.plan:
             kind = entry.get("kind")
-            if kind not in KNOWN_FAULT_KINDS:
+            if not isinstance(kind, str) or kind not in KNOWN_FAULT_KINDS:
                 raise ValueError(
                     f"unknown fault kind {kind!r} in plan for schedule "
                     f"{self.name!r}; known kinds: "
@@ -166,15 +167,9 @@ class FaultSchedule:
         return raw
 
     @staticmethod
-    def from_dict(raw: Dict) -> "FaultSchedule":
-        known = FaultSchedule.__dataclass_fields__
-        unknown = [key for key in raw if key not in known]
-        if unknown:
-            raise ValueError(
-                f"unknown fault schedule field(s) "
-                f"{', '.join(sorted(unknown))}; known fields: "
-                f"{', '.join(sorted(known))}")
-        return FaultSchedule(**raw)
+    def from_dict(raw) -> "FaultSchedule":
+        """Load a schedule spec; ``ValueError`` if it is malformed."""
+        return load(FaultSchedule, raw, "fault schedule")
 
     @staticmethod
     def plan_from_events(events: List[Dict], name: str = "plan",

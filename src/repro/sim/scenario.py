@@ -27,10 +27,13 @@ Axis constraints are encoded here, not in the runner:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.deploy import (LITTLED_PROTECT, MINX_PROTECT, MUTATIONS,
+                          Control, Deployment, WorkerKill, Workload)
 from repro.kernel.faults import FaultSchedule, battery
+from repro.schema import load
 
 WORKLOADS = ("minx", "littled", "cluster")
 CLASSES = ("clean", "expected-alarm", "unexpected-alarm", "divergence",
@@ -38,14 +41,8 @@ CLASSES = ("clean", "expected-alarm", "unexpected-alarm", "divergence",
 #: outcome classes a healthy swarm is allowed to produce.
 OK_CLASSES = frozenset(("clean", "expected-alarm"))
 
-MINX_PROTECT = "minx_http_process_request_line"
-LITTLED_PROTECT = "server_main_loop"
-
-#: known code mutations for validating the bug-finding pipeline
-#: ("zero-read" forges EOF on every second short-read clamp — exactly
-#: the bug class the fault plane's never-below-1-byte rule exists to
-#: avoid).  "none" is the production setting.
-MUTATIONS = ("none", "zero-read")
+#: patience for fault-schedule runs (matches the fault-battery suites).
+SIM_MAX_STALLS = 64
 
 
 class SeedStream:
@@ -138,19 +135,49 @@ class Scenario:
         return asdict(self)
 
     @staticmethod
-    def from_dict(raw: Dict) -> "Scenario":
-        known = Scenario.__dataclass_fields__
-        unknown = [key for key in raw if key not in known]
-        if unknown:
-            raise ValueError(
-                f"unknown scenario field(s) {', '.join(sorted(unknown))}")
-        scenario = Scenario(**raw)
+    def from_dict(raw) -> "Scenario":
+        """Load a scenario dict; ``ValueError`` if it is malformed."""
+        scenario = load(Scenario, raw, "scenario")
         if scenario.workload not in WORKLOADS:
             raise ValueError(f"unknown workload {scenario.workload!r}")
         if scenario.mutation not in MUTATIONS:
             raise ValueError(f"unknown mutation {scenario.mutation!r}")
         scenario.schedule_obj()      # validates the embedded schedule
         return scenario
+
+    def deployment(self) -> Deployment:
+        """The deployment this scenario runs.  Axes its workload lacks
+        are dropped (minx: workers, skew, control plane; littled: the
+        attack), and a cluster protects minx's request-line parser with
+        the default variant strategy on its mirror, whatever was drawn.
+        """
+        cluster = self.workload == "cluster"
+        littled = self.workload == "littled"
+        kills = ((WorkerKill(self.index % self.workers, 2_000_000,
+                             task="sim-chaos"),)
+                 if littled and self.worker_kill and self.workers >= 2
+                 else ())
+        supervise = littled and self.workers > 0 and self.supervise
+        schedule = self.schedule_obj()
+        return Deployment(
+            app="littled" if littled else "minx", seed=self.seed,
+            protect=MINX_PROTECT if cluster else self.protect,
+            smvx=cluster or self.smvx,
+            variant_strategy="shift" if cluster else self.variant_strategy,
+            workers=self.workers if littled else 0, cluster=cluster,
+            faults=schedule, link_faults=schedule if cluster else None,
+            mutation=self.mutation,
+            clock_skew_ns=self.clock_skew_ns
+            if cluster or (littled and self.workers) else 0,
+            control=Control(
+                supervise=supervise, worker_kills=kills, from_boot=True,
+                reload_at_ns=4_000_000 if supervise and self.reload
+                else None) if supervise or kills else None,
+            workload=Workload(
+                self.requests, self.concurrency, max_stalls=SIM_MAX_STALLS,
+                client_mode=self.client_mode, chunk_bytes=self.chunk_bytes,
+                partial_preludes=self.partial_preludes),
+            attack="none" if littled else self.attack)
 
     def describe(self) -> str:
         bits = [self.workload,

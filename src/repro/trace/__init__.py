@@ -14,7 +14,8 @@ Modules:
 * :mod:`repro.trace.events`  — typed trace events, bounded ring recorder,
   metrics registry;
 * :mod:`repro.trace.record`  — record mode (kernel-boundary taps →
-  versioned trace file);
+  versioned trace file); ``repro.deploy.deploy(spec, record=True)``
+  brings up a recorded run;
 * :mod:`repro.trace.replay`  — replay mode (consume recorded
   nondeterminism, assert bit-identical re-execution);
 * :mod:`repro.trace.capsule` — divergence capsules snapshotted at
@@ -33,9 +34,6 @@ from repro.trace.record import (
     TRACE_VERSION,
     Recorder,
     Trace,
-    drive_littled_workload,
-    record_littled,
-    record_minx,
 )
 from repro.trace.replay import ReplayResult, replay_trace
 from repro.trace.capsule import DivergenceCapsule
@@ -49,9 +47,6 @@ __all__ = [
     "TRACE_VERSION",
     "Recorder",
     "Trace",
-    "drive_littled_workload",
-    "record_littled",
-    "record_minx",
     "ReplayResult",
     "replay_trace",
     "DivergenceCapsule",

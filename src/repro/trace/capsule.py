@@ -23,6 +23,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.schema import check_version, load
+
 CAPSULE_VERSION = 1
 
 
@@ -51,15 +53,14 @@ class CapsuleReplayResult:
 class DivergenceCapsule:
     """Alarm report + event window + the full recording that led there."""
 
+    report: Dict
+    window: List[Dict]
+    trace: Dict
     version: int = CAPSULE_VERSION
-    report: Dict = field(default_factory=dict)
-    window: List[Dict] = field(default_factory=list)
-    trace: Dict = field(default_factory=dict)
 
     @classmethod
     def from_recording(cls, recorder, report, window) -> "DivergenceCapsule":
         return cls(
-            version=CAPSULE_VERSION,
             report={"kind": report.kind.name, "seq": report.seq,
                     "libc_name": report.libc_name,
                     "task_id": report.task_id,
@@ -75,15 +76,10 @@ class DivergenceCapsule:
                 "window": self.window, "trace": self.trace}
 
     @staticmethod
-    def from_dict(raw: Dict) -> "DivergenceCapsule":
-        version = raw.get("version")
-        if version != CAPSULE_VERSION:
-            raise ValueError(
-                f"unsupported capsule version {version!r} "
-                f"(this build reads version {CAPSULE_VERSION})")
-        return DivergenceCapsule(version, raw.get("report", {}),
-                                 raw.get("window", []),
-                                 raw.get("trace", {}))
+    def from_dict(raw) -> "DivergenceCapsule":
+        """Load a capsule document; ``ValueError`` if it is malformed."""
+        check_version(raw, CAPSULE_VERSION, "capsule")
+        return load(DivergenceCapsule, raw, "capsule")
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -160,14 +156,14 @@ class ScenarioCapsule:
     produce; ``digest``/``digests`` pin the shrunk run bit-for-bit;
     ``shrink_steps`` logs every reduction the shrinker tried."""
 
+    scenario: Dict
+    original: Dict
+    signature: Dict
+    digest: str
+    digests: Dict
+    shrink_steps: List[Dict]
+    meta: Dict
     version: int = SIM_CAPSULE_VERSION
-    scenario: Dict = field(default_factory=dict)
-    original: Dict = field(default_factory=dict)
-    signature: Dict = field(default_factory=dict)
-    digest: str = ""
-    digests: Dict = field(default_factory=dict)
-    shrink_steps: List[Dict] = field(default_factory=list)
-    meta: Dict = field(default_factory=dict)
 
     # -- serialization -------------------------------------------------------
 
@@ -179,19 +175,10 @@ class ScenarioCapsule:
                 "shrink_steps": self.shrink_steps, "meta": self.meta}
 
     @staticmethod
-    def from_dict(raw: Dict) -> "ScenarioCapsule":
-        version = raw.get("version")
-        if version != SIM_CAPSULE_VERSION:
-            raise ValueError(
-                f"unsupported sim capsule version {version!r} "
-                f"(this build reads version {SIM_CAPSULE_VERSION})")
-        return ScenarioCapsule(
-            version=version, scenario=raw.get("scenario", {}),
-            original=raw.get("original", {}),
-            signature=raw.get("signature", {}),
-            digest=raw.get("digest", ""), digests=raw.get("digests", {}),
-            shrink_steps=raw.get("shrink_steps", []),
-            meta=raw.get("meta", {}))
+    def from_dict(raw) -> "ScenarioCapsule":
+        """Load a sim capsule document; ``ValueError`` if malformed."""
+        check_version(raw, SIM_CAPSULE_VERSION, "sim capsule")
+        return load(ScenarioCapsule, raw, "sim capsule", ignore=("kind",))
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -25,19 +25,18 @@ from typing import List, Optional
 from repro.trace.capsule import DivergenceCapsule
 from repro.trace.events import EventKind
 from repro.trace.export import write_chrome_trace
-from repro.trace.record import Trace, record_minx
+from repro.deploy import MINX_PROTECT, Deployment, deploy
+from repro.trace.record import Trace
 from repro.trace.replay import replay_trace
-
-DEFAULT_PROTECT = "minx_http_process_request_line"
 
 
 def _cmd_record(args) -> int:
-    minx_kwargs = {}
-    if args.smvx:
-        minx_kwargs.update(protect=args.protect, smvx=True)
-    kernel, server, recorder = record_minx(
-        seed=args.seed, capacity=args.capacity,
-        trace_instructions=args.trace_instructions, **minx_kwargs)
+    run = deploy(Deployment(seed=args.seed,
+                            protect=args.protect if args.smvx else None,
+                            smvx=args.smvx),
+                 record=True, capacity=args.capacity,
+                 trace_instructions=args.trace_instructions)
+    kernel, server, recorder = run.kernel, run.server, run.recorder
     if args.requests:
         from repro.workloads import ApacheBench
         result = ApacheBench(kernel, server).run(args.requests)
@@ -152,9 +151,8 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    trace = Trace.load(args.trace)
     try:
-        result = replay_trace(trace)
+        result = replay_trace(Trace.load(args.trace))
     except ValueError as error:
         print(f"cannot replay: {error}", file=sys.stderr)
         return 1
@@ -208,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run under sMVX protection (default)")
     p.add_argument("--vanilla", dest="smvx", action="store_false",
                    help="run the unprotected server")
-    p.add_argument("--protect", default=DEFAULT_PROTECT,
-                   help=f"protected root function (default {DEFAULT_PROTECT})")
+    p.add_argument("--protect", default=MINX_PROTECT,
+                   help=f"protected root function (default {MINX_PROTECT})")
     p.add_argument("--capacity", type=int, default=4096,
                    help="event ring capacity")
     p.add_argument("--trace-instructions", action="store_true",

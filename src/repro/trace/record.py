@@ -21,16 +21,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.machine.isa import Op
+from repro.schema import check_version, load
 from repro.trace.events import EventKind, MetricsRegistry, RingRecorder
 
-#: bumped whenever the footer schema changes, so an older trace is
-#: rejected with a typed error instead of replaying into a false footer
-#: divergence (v2: ``cpu_tiers`` lost the interpreter's third tier).
-TRACE_VERSION = 2
+#: bumped whenever the header or footer schema changes, so an older
+#: trace is rejected with a typed error instead of replaying into a false
+#: divergence (v2: ``cpu_tiers`` lost the interpreter's third tier; v3:
+#: ``meta.scenario`` is a :class:`repro.deploy.Deployment` dict).
+TRACE_VERSION = 3
 
 #: how many trailing ring events a divergence capsule snapshots.
 DEFAULT_CAPSULE_WINDOW = 256
@@ -50,12 +52,12 @@ class Trace:
     syscall retval/errno stream digest, libc call counts, alarms).
     """
 
-    version: int = TRACE_VERSION
-    meta: Dict = field(default_factory=dict)
-    script: List[Dict] = field(default_factory=list)
-    inputs: Dict = field(default_factory=dict)
-    events: List[Dict] = field(default_factory=list)
-    footer: Dict = field(default_factory=dict)
+    version: int
+    meta: Dict
+    script: List[Dict]
+    inputs: Dict
+    events: List[Dict]
+    footer: Dict
 
     def to_dict(self) -> Dict:
         return {"version": self.version, "meta": self.meta,
@@ -63,15 +65,10 @@ class Trace:
                 "events": self.events, "footer": self.footer}
 
     @staticmethod
-    def from_dict(raw: Dict) -> "Trace":
-        version = raw.get("version")
-        if version != TRACE_VERSION:
-            raise ValueError(
-                f"unsupported trace version {version!r} "
-                f"(this build reads version {TRACE_VERSION})")
-        return Trace(version, raw.get("meta", {}), raw.get("script", []),
-                     raw.get("inputs", {}), raw.get("events", []),
-                     raw.get("footer", {}))
+    def from_dict(raw) -> "Trace":
+        """Load a trace document; ``ValueError`` if it is malformed."""
+        check_version(raw, TRACE_VERSION, "trace")
+        return load(Trace, raw, "trace")
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -93,15 +90,9 @@ class Trace:
 class Recorder:
     """Attach to a kernel (and then a server) and capture a run.
 
-    Lifecycle::
-
-        kernel = Kernel(seed="...")
-        server = MinxServer(kernel, ...)
-        recorder = Recorder(kernel, scenario={...})
-        recorder.attach_server(server)
-        server.start()                       # recorded
-        ... drive traffic / attacks ...      # recorded
-        trace = recorder.finish()
+    ``repro.deploy.deploy(spec, record=True)`` attaches one per host
+    before ``start()`` and puts the spec in the trace header; drive the
+    run, then ``trace = recorder.finish()``.
 
     ``trace_instructions=True`` additionally streams per-instruction
     events (and PKRU flips) into the ring — expensive, but the ring stays
@@ -134,7 +125,9 @@ class Recorder:
         self._wire_frames = 0
         self._wire_bytes = 0
         self._lamport_max = 0
-        self._extra_procs: List = []
+        #: (owner, attribute, hook) and (tap list, hook) pairs installed
+        self._slots: List = []
+        self._taps: List = []
 
         self._install_kernel_taps()
 
@@ -142,20 +135,32 @@ class Recorder:
     # tap installation
     # ------------------------------------------------------------------
 
+    def _set(self, owner, attr: str, hook) -> None:
+        """Install a single-slot hook and remember it for :meth:`detach`."""
+        setattr(owner, attr, hook)
+        self._slots.append((owner, attr, hook))
+
+    def _tap(self, taps: List, hook) -> None:
+        """Append ``hook`` to a tap list once and remember it for
+        :meth:`detach` (bound methods compare by ==, never identity)."""
+        if hook not in taps:
+            taps.append(hook)
+            self._taps.append((taps, hook))
+
     def _install_kernel_taps(self) -> None:
         kernel = self.kernel
-        kernel.vfs.urandom.tap = self._on_urandom
-        kernel.clock.read_hook = self._on_clock_read
-        kernel.tasks.spawn_hook = self._on_spawn
-        kernel.tasks.exit_hook = self._on_task_exit
-        kernel.syscall_result_hooks.append(self._on_syscall)
-        kernel.faults.fault_hook = self._on_fault
+        self._set(kernel.vfs.urandom, "tap", self._on_urandom)
+        self._set(kernel.clock, "read_hook", self._on_clock_read)
+        self._set(kernel.tasks, "spawn_hook", self._on_spawn)
+        self._set(kernel.tasks, "exit_hook", self._on_task_exit)
+        self._tap(kernel.syscall_result_hooks, self._on_syscall)
+        self._set(kernel.faults, "fault_hook", self._on_fault)
         network = kernel.network
-        network.connect_hook = self._on_connect
-        network.ingress_hook = self._on_ingress
-        network.accept_hook = self._on_accept
+        self._set(network, "connect_hook", self._on_connect)
+        self._set(network, "ingress_hook", self._on_ingress)
+        self._set(network, "accept_hook", self._on_accept)
         if hasattr(kernel, "wire_hooks"):
-            kernel.wire_hooks.append(self._on_wire)
+            self._tap(kernel.wire_hooks, self._on_wire)
         self._tap_scheduler()
 
     def _tap_scheduler(self) -> None:
@@ -164,7 +169,14 @@ class Recorder:
         re-checked at ``attach_server`` time)."""
         sched = getattr(self.kernel, "sched", None)
         if sched is not None and sched.decision_hook is None:
-            sched.decision_hook = self._on_sched_decision
+            self._set(sched, "decision_hook", self._on_sched_decision)
+
+    def _tap_unit(self, process, monitor) -> None:
+        """Libc observer on a serving process, rendezvous tap on its
+        monitor (the first server's, every worker's, every restart's)."""
+        self._tap(process.libc_call_observers, self._on_libc)
+        if monitor is not None:
+            self._tap(monitor.call_taps, self._on_rendezvous)
 
     def attach_server(self, server) -> None:
         """Hook a MinxServer-shaped harness: process, monitor, alarms,
@@ -172,20 +184,13 @@ class Recorder:
         A multi-worker ``LittledServer`` additionally gets every
         worker's process and monitor tapped."""
         self.server = server
-        self.attach_process(server.process)
-        for worker in getattr(server, "workers", []) or []:
-            if worker.process is not self.process:
-                worker.process.libc_call_observers.append(self._on_libc)
-                self._extra_procs.append(worker.process)
-            monitor = worker.monitor
-            if monitor is not None and monitor is not server.monitor:
-                monitor.call_taps.append(self._on_rendezvous)
-        monitor = getattr(server, "monitor", None)
-        if monitor is not None:
-            monitor.call_taps.append(self._on_rendezvous)
-        alarms = getattr(server, "alarms", None)
-        if alarms is not None:
-            alarms.listeners.append(self._on_alarm)
+        self.process = server.process
+        if self.trace_instructions:
+            self._set(server.process.cpu, "trace_hook",
+                      self._on_instruction)
+        for unit in [server, *getattr(server, "workers", [])]:
+            self._tap_unit(unit.process, unit.monitor)
+        self._tap(server.alarms.listeners, self._on_alarm)
         self._wrap_entry(server, "start")
         self._wrap_entry(server, "pump")
         self._tap_scheduler()
@@ -197,70 +202,28 @@ class Recorder:
         tapped exactly like the original fleet — libc observers on the
         new process, the rendezvous stream of its monitor."""
         self.supervisor = supervisor
+        self._set(supervisor, "metrics_hook", self._on_metric_sample)
+        self._tap(supervisor.worker_hooks, self._on_new_worker)
 
-        def on_sample(sample: Dict) -> None:
-            self.ring.emit(EventKind.METRIC, self._now, "control-plane",
-                           **sample)
+    def _on_metric_sample(self, sample: Dict) -> None:
+        self.ring.emit(EventKind.METRIC, self._now, "control-plane",
+                       **sample)
 
-        def on_worker(worker) -> None:
-            process = worker.process
-            if process is not self.process \
-                    and process not in self._extra_procs:
-                process.libc_call_observers.append(self._on_libc)
-                self._extra_procs.append(process)
-            monitor = worker.monitor
-            if monitor is not None \
-                    and self._on_rendezvous not in monitor.call_taps:
-                monitor.call_taps.append(self._on_rendezvous)
-
-        supervisor.metrics_hook = on_sample
-        supervisor.worker_hooks.append(on_worker)
-
-    def attach_process(self, process) -> None:
-        self.process = process
-        process.libc_call_observers.append(self._on_libc)
-        if self.trace_instructions:
-            process.cpu.trace_hook = self._on_instruction
+    def _on_new_worker(self, worker) -> None:
+        self._tap_unit(worker.process, worker.monitor)
 
     def detach(self) -> None:
-        """Remove every tap this recorder installed (instance-level
-        wrappers on the server/sockets stay, but become pass-through
-        once the ring is disabled)."""
-        kernel = self.kernel
-        # NB: bound methods compare by ==, never by identity
-        if kernel.vfs.urandom.tap == self._on_urandom:
-            kernel.vfs.urandom.tap = None
-        if kernel.clock.read_hook == self._on_clock_read:
-            kernel.clock.read_hook = None
-        if kernel.tasks.spawn_hook == self._on_spawn:
-            kernel.tasks.spawn_hook = None
-        if kernel.tasks.exit_hook == self._on_task_exit:
-            kernel.tasks.exit_hook = None
-        sched = getattr(kernel, "sched", None)
-        if sched is not None \
-                and sched.decision_hook == self._on_sched_decision:
-            sched.decision_hook = None
-        if self._on_syscall in kernel.syscall_result_hooks:
-            kernel.syscall_result_hooks.remove(self._on_syscall)
-        if kernel.faults.fault_hook == self._on_fault:
-            kernel.faults.fault_hook = None
-        network = kernel.network
-        if network.connect_hook == self._on_connect:
-            network.connect_hook = None
-        if network.ingress_hook == self._on_ingress:
-            network.ingress_hook = None
-        if network.accept_hook == self._on_accept:
-            network.accept_hook = None
-        if self._on_wire in getattr(kernel, "wire_hooks", []):
-            kernel.wire_hooks.remove(self._on_wire)
-        if self.process is not None:
-            if self._on_libc in self.process.libc_call_observers:
-                self.process.libc_call_observers.remove(self._on_libc)
-            if self.process.cpu.trace_hook == self._on_instruction:
-                self.process.cpu.trace_hook = None
-        for proc in self._extra_procs:
-            if self._on_libc in proc.libc_call_observers:
-                proc.libc_call_observers.remove(self._on_libc)
+        """Remove every hook and tap this recorder installed: kernel,
+        scheduler, processes, monitors, the alarm log and the supervisor.
+        Instance-level wrappers on the server and client sockets stay,
+        but pass through once the ring is disabled."""
+        for owner, attr, hook in self._slots:
+            if getattr(owner, attr) == hook:
+                setattr(owner, attr, None)
+        for taps, hook in self._taps:
+            if hook in taps:
+                taps.remove(hook)
+        self._slots, self._taps = [], []
         self.ring.enabled = False
 
     # ------------------------------------------------------------------
@@ -528,128 +491,3 @@ class Recorder:
     def finish(self) -> Trace:
         self._finalize_capsules()
         return self.build_trace()
-
-
-def record_minx(seed: str = "smvx-repro", capacity: int = 4096,
-                trace_instructions: bool = False,
-                fault_schedule=None,
-                **minx_kwargs):
-    """Build a freshly seeded kernel + MinxServer with a recorder
-    attached and the server started.  Returns (kernel, server, recorder).
-
-    ``minx_kwargs`` (port, protect, smvx, …) are stored in the trace so
-    :func:`repro.trace.replay.replay_trace` can rebuild the scenario.
-    ``fault_schedule`` (a :class:`repro.kernel.faults.FaultSchedule`)
-    arms the kernel's fault plane *after* server setup and is stored in
-    the scenario: replay re-derives the identical fault stream from the
-    seed + schedule rather than replaying individual faults (rr's
-    record-the-perturbation-source principle).
-    """
-    from repro.apps.minx import MinxServer
-    from repro.kernel.kernel import Kernel
-
-    kernel = Kernel(seed=seed)
-    server = MinxServer(kernel, **minx_kwargs)
-    scenario = {"app": "minx", "seed": seed, "kwargs": dict(minx_kwargs)}
-    if fault_schedule is not None:
-        scenario["faults"] = fault_schedule.to_dict()
-        kernel.faults.install(fault_schedule)
-    recorder = Recorder(
-        kernel, scenario=scenario,
-        capacity=capacity, trace_instructions=trace_instructions)
-    recorder.attach_server(server)
-    server.start()
-    return kernel, server, recorder
-
-
-def drive_littled_workload(kernel, server, workload: Dict):
-    """Run the scenario's ApacheBench workload against a (scheduled or
-    classic) littled.  Used identically on the record and replay sides,
-    so a scheduled run is replayed *by reproduction*: the same client
-    tasks re-derive the same interleaving from the same machine state.
-    """
-    from repro.workloads.ab import ApacheBench
-
-    bench = ApacheBench(
-        kernel, server,
-        path=workload.get("path", "/index.html"),
-        keepalive=workload.get("keepalive", True),
-        max_stalls=workload.get("max_stalls", 2),
-        timeout_ns=workload.get("timeout_ns", 50_000_000),
-        pipeline=workload.get("pipeline", 1),
-        connect_retries=workload.get("connect_retries", 20))
-    return bench.run(workload.get("requests", 8),
-                     paths=workload.get("paths"),
-                     concurrency=workload.get("concurrency", 1))
-
-
-def apply_control_plane(kernel, server, control: Optional[Dict],
-                        recorder: Optional[Recorder] = None):
-    """Arm the scenario's production control plane from its trace
-    description: a supervisor (restart budgets, restart-on-alarm, a
-    scheduled graceful reload) plus any chaos worker kills.  Shared by
-    the record and replay sides, so a supervised run replays *by
-    reproduction* — the same control dict re-derives the same restarts
-    and reload from the same machine state.  Returns the started
-    :class:`~repro.apps.control.Supervisor` (or None).
-    """
-    if not control:
-        return None
-    from repro.apps.control import Supervisor, spawn_worker_kill
-
-    supervisor = Supervisor(
-        server,
-        restart_budget=control.get("restart_budget", 2),
-        tick_ns=control.get("tick_ns", 1_000_000),
-        restart_on_alarm=control.get("restart_on_alarm", False),
-        reload_at_ns=control.get("reload_at_ns"))
-    if recorder is not None:
-        recorder.attach_supervisor(supervisor)
-    supervisor.start()
-    for kill in control.get("worker_kills") or []:
-        spawn_worker_kill(server, kill["slot"], kill["at_ns"])
-    return supervisor
-
-
-def record_littled(seed: str = "smvx-repro", capacity: int = 4096,
-                   workload: Optional[Dict] = None,
-                   control: Optional[Dict] = None,
-                   trace_instructions: bool = False,
-                   fault_schedule=None,
-                   **littled_kwargs):
-    """Like :func:`record_minx` but for littled, including the scheduled
-    multi-worker mode (pass ``workers=N``).  Returns (kernel, server,
-    recorder); the server is started and, if ``workload`` is given (ab
-    parameters: requests / concurrency / path / ...), the workload has
-    already been driven — call ``recorder.finish()`` *before*
-    ``server.shutdown()`` so the footer matches what replay rebuilds.
-
-    ``control`` arms the production control plane before the workload
-    (see :func:`apply_control_plane`): ``{"restart_budget": 2,
-    "restart_on_alarm": bool, "reload_at_ns": t, "worker_kills":
-    [{"slot": s, "at_ns": t}, ...]}``.  It is stored in the scenario so
-    replay re-arms the identical supervisor.
-    """
-    from repro.apps.littled import LittledServer
-    from repro.kernel.kernel import Kernel
-
-    kernel = Kernel(seed=seed)
-    server = LittledServer(kernel, **littled_kwargs)
-    scenario = {"app": "littled", "seed": seed,
-                "kwargs": dict(littled_kwargs)}
-    if workload is not None:
-        scenario["workload"] = dict(workload)
-    if control is not None:
-        scenario["control"] = dict(control)
-    if fault_schedule is not None:
-        scenario["faults"] = fault_schedule.to_dict()
-        kernel.faults.install(fault_schedule)
-    recorder = Recorder(
-        kernel, scenario=scenario,
-        capacity=capacity, trace_instructions=trace_instructions)
-    recorder.attach_server(server)
-    server.start()
-    apply_control_plane(kernel, server, control, recorder)
-    if workload is not None:
-        drive_littled_workload(kernel, server, workload)
-    return kernel, server, recorder

@@ -1,10 +1,10 @@
 """Replay mode: re-execute a recorded run and assert it is bit-identical.
 
-Replay rebuilds the recorded scenario (same seed, same server
-configuration), points ``/dev/urandom`` at the *recorded* byte stream (the
-kernel consumes recorded nondeterminism rather than regenerating it), and
-re-issues the stimulus script through a fresh :class:`~repro.trace.record.
-Recorder`.  Because every remaining source of ordering in the simulation
+Replay rebuilds the recorded deployment (:mod:`repro.deploy`: same
+seed, servers, faults and control plane), points ``/dev/urandom`` at the
+*recorded* byte stream (the kernel consumes recorded nondeterminism
+rather than regenerating it), and re-derives or re-issues the stimulus
+script through a fresh :class:`~repro.trace.record.Recorder`.  Because every remaining source of ordering in the simulation
 is deterministic — the virtual clock only advances when work is charged,
 and lockstep IPC strictly serializes the variants — the replay's script,
 event stream, and footer must match the recording exactly: virtual-cycle
@@ -20,7 +20,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.trace.record import Recorder, Trace
+from repro.deploy import Deployment, assemble
+from repro.trace.record import Trace
 
 #: footer fields compared scalar-for-scalar.
 _FOOTER_KEYS = (
@@ -77,7 +78,6 @@ class ReplayResult:
     recorded_footer: Dict = field(default_factory=dict)
     replayed_footer: Dict = field(default_factory=dict)
     trace: Optional[Trace] = None        # the re-recording of the replay
-    server = None
 
     def summary(self) -> str:
         if self.ok:
@@ -90,58 +90,24 @@ class ReplayResult:
         return "\n".join(lines)
 
 
-def _build_scenario(trace: Trace):
-    """Rebuild the recorded scenario: kernel (same seed), server (same
-    config), recorder attached at the same point in the lifecycle."""
-    from repro.kernel.kernel import Kernel
-
-    scenario = trace.meta.get("scenario", {})
-    app = scenario.get("app", "minx")
-    if app == "minx":
-        from repro.apps.minx import MinxServer
-        server_cls = MinxServer
-    elif app == "littled":
-        from repro.apps.littled import LittledServer
-        server_cls = LittledServer
-    elif app.endswith("-cluster"):
-        raise ValueError(
-            f"{app!r} is a per-host trace of a cluster run; replay the "
-            f"whole cluster with `python -m repro.cluster replay` (a "
-            f"single host's stimulus depends on its peers' wire frames)")
-    else:
-        raise ValueError(f"cannot rebuild unknown scenario app {app!r}")
-    kernel = Kernel(seed=scenario.get("seed", "smvx-repro"))
-    server = server_cls(kernel, **scenario.get("kwargs", {}))
-    if scenario.get("faults"):
-        # re-arm the recorded fault schedule: the identical fault stream
-        # re-derives from (seed, schedule, query sequence) — faults are
-        # replayed by reproduction, not by playback.
-        from repro.kernel.faults import FaultSchedule
-        kernel.faults.install(FaultSchedule.from_dict(scenario["faults"]))
-    recorder = Recorder(
-        kernel, scenario=scenario,
-        capacity=trace.meta.get("ring", {}).get("capacity", 4096),
-        trace_instructions=trace.meta.get("trace_instructions", False))
-    recorder.attach_server(server)
-    # from here on the kernel consumes the *recorded* nondeterminism
-    replay_urandom = ReplayUrandom(
-        [bytes.fromhex(c) for c in trace.inputs.get("urandom", [])],
-        kernel.vfs.urandom)
-    replay_urandom.tap = recorder._on_urandom
-    kernel.vfs.urandom.tap = None
-    kernel.vfs.urandom = replay_urandom
-    return kernel, server, recorder, replay_urandom
+def _field(op: Dict, index: int, name: str, kind=int, default=None):
+    """``op[name]`` as a JSON value of ``kind``; ``ValueError`` if the
+    trace is malformed there."""
+    value = op.get(name, default)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"malformed trace: script[{index}] field "
+                         f"{name!r} is {value!r}")
+    return value
 
 
-def _run_script(trace: Trace, kernel, server) -> List[str]:
-    """Re-issue the recorded host stimuli in order."""
+def _run_script(script: List[Dict], first: int, kernel,
+                server) -> List[str]:
+    """Re-issue the recorded host stimuli from ``script[first]`` on."""
     problems: List[str] = []
     conns: Dict[int, object] = {}
-    for index, op in enumerate(trace.script):
-        kind = op["op"]
-        if kind == "start":
-            server.start()
-        elif kind == "pump":
+    for index, op in enumerate(script[first:], first):
+        kind = _field(op, index, "op", str)
+        if kind == "pump":
             try:
                 server.pump()
             except Exception as exc:
@@ -151,29 +117,30 @@ def _run_script(trace: Trace, kernel, server) -> List[str]:
                         f"{type(exc).__name__}, recorded "
                         f"{op.get('error', 'no error')}")
         elif kind == "connect":
-            sock = kernel.network.connect(op["port"])
+            port, conn = (_field(op, index, "port"),
+                          _field(op, index, "conn"))
+            sock = kernel.network.connect(port)
             if isinstance(sock, int):
                 problems.append(
-                    f"script[{index}]: connect({op['port']}) failed "
-                    f"with {sock}")
+                    f"script[{index}]: connect({port}) failed with {sock}")
                 continue
-            if sock.conn_id != op["conn"]:
+            if sock.conn_id != conn:
                 problems.append(
                     f"script[{index}]: connect produced conn "
-                    f"{sock.conn_id}, recorded {op['conn']}")
-            conns[op["conn"]] = sock
+                    f"{sock.conn_id}, recorded {conn}")
+            conns[conn] = sock
         elif kind in ("send", "recv", "close"):
-            sock = conns.get(op["conn"])
+            conn = _field(op, index, "conn")
+            sock = conns.get(conn)
             if sock is None:
                 problems.append(
-                    f"script[{index}]: {kind} on unknown conn "
-                    f"{op['conn']}")
+                    f"script[{index}]: {kind} on unknown conn {conn}")
                 continue
             if kind == "send":
-                sock.send(bytes.fromhex(op["data"]),
-                          op.get("delay_ns", 0))
+                sock.send(bytes.fromhex(_field(op, index, "data", str)),
+                          _field(op, index, "delay_ns", (int, float), 0))
             elif kind == "recv":
-                sock.recv_wait(op["count"])
+                sock.recv_wait(_field(op, index, "count"))
             else:
                 sock.close()
         else:
@@ -181,19 +148,39 @@ def _run_script(trace: Trace, kernel, server) -> List[str]:
     return problems
 
 
-def _diff_scripts(recorded: List[Dict], replayed: List[Dict]) -> List[str]:
+def _recorded_settings(trace: Trace):
+    """The ring capacity, instruction tracing and urandom stream the
+    trace was recorded with; ``ValueError`` if they are malformed."""
+    ring = trace.meta.get("ring", {})
+    capacity = ring.get("capacity", 4096) if isinstance(ring, dict) \
+        else None
+    instructions = trace.meta.get("trace_instructions", False)
+    chunks = trace.inputs.get("urandom", [])
+    if (not isinstance(capacity, int) or isinstance(capacity, bool)
+            or capacity <= 0 or not isinstance(instructions, bool)
+            or not isinstance(chunks, list)
+            or not all(isinstance(c, str) for c in chunks)):
+        raise ValueError("malformed trace: meta.ring.capacity must be a "
+                         "positive integer, meta.trace_instructions a "
+                         "boolean and inputs.urandom a list of hex strings")
+    return capacity, instructions, [bytes.fromhex(c) for c in chunks]
+
+
+def _diff_streams(what: str, recorded: List[Dict],
+                  replayed: List[Dict]) -> List[str]:
+    """Element-by-element comparison of the script or the event ring
+    (both sides record with the same ring capacity, so bounded-drop
+    behaviour matches too); at most ten element diffs are listed."""
     problems: List[str] = []
     if len(recorded) != len(replayed):
-        problems.append(
-            f"script length: recorded {len(recorded)} ops, "
-            f"replayed {len(replayed)}")
+        problems.append(f"{what} length: recorded {len(recorded)}, "
+                        f"replayed {len(replayed)}")
     for index, (want, got) in enumerate(zip(recorded, replayed)):
         if want != got:
-            problems.append(
-                f"script[{index}] ({want.get('op')}): recorded {want} "
-                f"!= replayed {got}")
+            problems.append(f"{what}[{index}]: recorded {want} "
+                            f"!= replayed {got}")
             if len(problems) >= 10:
-                problems.append("... further script diffs suppressed")
+                problems.append(f"... further {what} diffs suppressed")
                 break
     return problems
 
@@ -208,56 +195,50 @@ def _diff_footers(recorded: Dict, replayed: Dict) -> List[str]:
     return problems
 
 
-def _diff_events(recorded: List[Dict], replayed: List[Dict]) -> List[str]:
-    """Event-stream comparison for workload-driven replays: the ring
-    must be *identical*, event for event (both sides record with the
-    same capacity, so bounded-drop behaviour matches too)."""
-    problems: List[str] = []
-    if len(recorded) != len(replayed):
-        problems.append(
-            f"events: recorded {len(recorded)}, replayed {len(replayed)}")
-    for index, (want, got) in enumerate(zip(recorded, replayed)):
-        if want != got:
-            problems.append(
-                f"events[{index}]: recorded {want} != replayed {got}")
-            if len(problems) >= 10:
-                problems.append("... further event diffs suppressed")
-                break
-    return problems
-
-
-def replay_trace(trace: Trace, keep_server: bool = False) -> ReplayResult:
+def replay_trace(trace: Trace) -> ReplayResult:
     """Replay ``trace`` from scratch; returns the comparison verdict.
 
-    Scenarios that carry a ``workload`` (littled + ApacheBench, possibly
-    scheduled multi-worker) are replayed *by reproduction*: the same
-    workload is re-driven and must regenerate the identical stimulus
-    script, event stream, and footer.  Script-only scenarios re-issue
-    the recorded host stimuli one by one.
-
-    With ``keep_server=True`` the rebuilt server is left on the result
-    (``result.server``) for post-mortem poking.
+    The run is rebuilt from the :class:`~repro.deploy.Deployment` in the
+    trace header, with this host's ``/dev/urandom`` serving the recorded
+    stream.  A spec that drives its own ab load or attack is replayed
+    *by reproduction*: booting it must regenerate the identical script,
+    event stream and footer.  Whatever the recorded script holds beyond
+    what the boot regenerated (host stimuli the caller issued by hand)
+    is then re-issued op by op.  A cluster host's trace is replayed by
+    re-deriving the whole cluster and comparing that host; a hand-driven
+    cluster run's client stimuli are in host 0's trace only, so a trace
+    of its other hosts is refused.  Malformed traces raise ``ValueError``.
     """
-    kernel, server, recorder, replay_urandom = _build_scenario(trace)
-    scenario = trace.meta.get("scenario", {})
-    workload = scenario.get("workload")
-    control = scenario.get("control")
-    if workload is not None:
-        from repro.trace.record import (apply_control_plane,
-                                        drive_littled_workload)
-        server.start()
-        # re-arm the recorded control plane before the workload, exactly
-        # as the record side did: the supervisor's restarts/reload are
-        # replayed by reproduction, and its snapshot must re-pin
-        apply_control_plane(kernel, server, control, recorder)
-        drive_littled_workload(kernel, server, workload)
-        mismatches = []
-    else:
-        mismatches = _run_script(trace, kernel, server)
-    replay_trace_out = recorder.finish()
-    mismatches += _diff_scripts(trace.script, replay_trace_out.script)
-    if workload is not None:
-        mismatches += _diff_events(trace.events, replay_trace_out.events)
+    spec = Deployment.from_dict(trace.meta.get("scenario"))
+    capacity, instructions, urandom = _recorded_settings(trace)
+    host = trace.footer.get("host_id", 0)
+    if host != 0 and spec.workload is None and spec.attack == "none":
+        raise ValueError(
+            f"host {host!r}'s trace of a hand-driven cluster run holds no "
+            "client stimuli (they were issued on host 0); replay host 0's "
+            "trace, or the whole cluster with `python -m repro.cluster "
+            "replay`")
+    run = assemble(spec, record=True, capacity=capacity,
+                   trace_instructions=instructions)
+    if not isinstance(host, int) or host not in range(len(run.recorders)):
+        raise ValueError(f"trace of host {host!r}, but the deployment "
+                         f"has {len(run.recorders)} host(s)")
+    recorder = run.recorders[host]
+    kernel, server = recorder.kernel, recorder.server
+    # from here on the kernel consumes the *recorded* nondeterminism
+    replay_urandom = ReplayUrandom(urandom, kernel.vfs.urandom)
+    replay_urandom.tap = recorder._on_urandom
+    kernel.vfs.urandom.tap = None
+    kernel.vfs.urandom = replay_urandom
+    run.boot()
+    mismatches = _run_script(trace.script, len(recorder.script),
+                             kernel, server)
+    replay_trace_out = run.finish()[host]
+    mismatches += _diff_streams("script", trace.script,
+                                replay_trace_out.script)
+    if spec.workload is not None or spec.attack != "none":
+        mismatches += _diff_streams("events", trace.events,
+                                    replay_trace_out.events)
     mismatches += _diff_footers(trace.footer, replay_trace_out.footer)
     if replay_urandom.unconsumed:
         mismatches.append(
@@ -267,10 +248,7 @@ def replay_trace(trace: Trace, keep_server: bool = False) -> ReplayResult:
         mismatches.append(
             f"urandom: {replay_urandom.fallback_reads} read(s) missed "
             "the recorded stream and fell back to the seeded generator")
-    result = ReplayResult(ok=not mismatches, mismatches=mismatches,
-                          recorded_footer=dict(trace.footer),
-                          replayed_footer=dict(replay_trace_out.footer),
-                          trace=replay_trace_out)
-    if keep_server:
-        result.server = server
-    return result
+    return ReplayResult(ok=not mismatches, mismatches=mismatches,
+                        recorded_footer=dict(trace.footer),
+                        replayed_footer=dict(replay_trace_out.footer),
+                        trace=replay_trace_out)

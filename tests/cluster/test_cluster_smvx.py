@@ -6,14 +6,15 @@ import pytest
 
 from repro.cluster.remote import snapshot_hashes
 from repro.cluster.scenarios import (
-    build_littled_cluster,
-    build_minx_cluster,
     compare_cve_alarms,
+    minx_cluster,
     replay_cluster,
     run_distributed_ab,
     run_distributed_cve,
 )
 from repro.core.divergence import DivergenceKind
+from repro.deploy import (LITTLED_PROTECT, Deployment, Workload, assemble,
+                          deploy)
 from repro.errors import MvxSetupError
 from repro.trace.merge import merge_digest, merge_summary, merge_traces
 from repro.workloads.ab import ApacheBench
@@ -37,24 +38,20 @@ def test_distributed_minx_serves_requests():
 def test_only_region_events_cross_the_network():
     """dMVX selective replication: with a narrow protected region only
     its events ship; with no region selected, nothing ships at all."""
-    narrow = build_minx_cluster(seed="narrow",
-                                protect="minx_http_log_access")
-    result = ApacheBench(narrow.cluster.host(0).kernel,
-                         narrow.leader).run(2)
-    assert result.status_counts == {200: 2}
+    narrow = deploy(minx_cluster("narrow", protect="minx_http_log_access",
+                                 workload=Workload(2)))
+    assert narrow.result.status_counts == {200: 2}
     narrow.dsmvx.settle()
     frames_narrow = sum(l.frames_sent
                         for l in narrow.cluster.links.values())
     assert frames_narrow > 0
     # the narrow region replays far fewer calls than the hot-path one
-    hot = build_minx_cluster(seed="hot")
-    ApacheBench(hot.cluster.host(0).kernel, hot.leader).run(2)
+    hot = deploy(minx_cluster("hot", workload=Workload(2)))
     hot.dsmvx.settle()
     assert narrow.dsmvx.runners[0].events_played \
         < hot.dsmvx.runners[0].events_played
 
-    cold = build_minx_cluster(seed="cold", protect=None)
-    ApacheBench(cold.cluster.host(0).kernel, cold.leader).run(2)
+    cold = deploy(minx_cluster("cold", protect=None, workload=Workload(2)))
     frames_none = sum(l.frames_sent
                       for l in cold.cluster.links.values())
     assert frames_none == 0                      # no region, no traffic
@@ -64,20 +61,20 @@ def test_common_checkpoint_and_state_delta():
     """The dMVX state-sync contract: leader and mirror are bit-identical
     at the common checkpoint; serving ships only dirtied pages, and the
     heap bookkeeping survives the JSON round trip."""
-    run = build_minx_cluster(start=False)
-    leader, mirror = run.leader.process, run.mirror.process
+    run = assemble(minx_cluster())
+    leader, mirror = run.server.process, run.mirror.process
     # built identically: every syncable page hashes the same
     assert snapshot_hashes(leader) == snapshot_hashes(mirror)
 
-    run.leader.start()
-    ApacheBench(run.cluster.host(0).kernel, run.leader).run(1)
+    run.boot()
+    ApacheBench(run.kernel, run.server).run(1)
     run.dsmvx.settle()
     monitor = run.dsmvx.monitor
     assert monitor._page_hashes                  # checkpoint taken
     assert run.dsmvx.runners[0].events_played > 0
     # the delta against the monitor's own snapshot is now empty — the
     # snapshot was advanced at the last region entry
-    ApacheBench(run.cluster.host(0).kernel, run.leader).run(1)
+    ApacheBench(run.kernel, run.server).run(1)
     run.dsmvx.settle()
     from repro.cluster.remote import adopt_heap_book, heap_book
     # heap bookkeeping round-trips through the wire encoding
@@ -87,16 +84,18 @@ def test_common_checkpoint_and_state_delta():
 
 
 def test_littled_multiworker_distributed():
-    run = build_littled_cluster(workers=2)
-    kernel = run.cluster.host(0).kernel
-    result = ApacheBench(kernel, run.leader).run(6, concurrency=3)
+    run = deploy(Deployment(app="littled", seed="smvx-cluster",
+                            cluster=True, workers=2,
+                            protect=LITTLED_PROTECT, smvx=True,
+                            workload=Workload(6, concurrency=3)))
+    result = run.result
     assert result.sched_status == "done"
     assert result.status_counts == {200: 6}
-    assert len(run.leader.alarms.alarms) == 0
+    assert len(run.server.alarms.alarms) == 0
     # both worker channels opened regions over their own wire channel
     regions = [m.stats.regions_entered for m in run.dsmvx.monitors]
     assert all(r >= 1 for r in regions)
-    run.leader.shutdown()
+    run.server.shutdown()
     run.dsmvx.settle()
     assert run.cluster.pending_frames() == 0
     for monitor in run.dsmvx.monitors:
@@ -126,7 +125,7 @@ def test_cve_detected_remotely_and_blocked():
     assert alarm.kind is DivergenceKind.FOLLOWER_FAULT
     assert alarm.libc_name == "mkdir"
     assert alarm.guest_pc > 0                    # the gadget address
-    assert alarm.pid == session["run"].leader.process.pid
+    assert alarm.pid == session["run"].server.process.pid
 
 
 def test_cve_alarm_location_identical_to_inprocess():
@@ -145,9 +144,9 @@ def test_cve_leader_survives_and_serves_after_alarm():
     keeps serving benign traffic (the sMVX recovery story)."""
     session = run_distributed_cve()
     run = session["run"]
-    result = ApacheBench(run.cluster.host(0).kernel, run.leader).run(1)
+    result = ApacheBench(run.cluster.host(0).kernel, run.server).run(1)
     assert result.status_counts == {200: 1}
-    assert len(run.leader.alarms.alarms) == 1    # no new alarms
+    assert len(run.server.alarms.alarms) == 1    # no new alarms
 
 
 # -- record / replay / merge ---------------------------------------------------
@@ -223,7 +222,6 @@ def test_pump_hook_coexists_with_prior_idle_hook():
     from repro.cluster import Cluster
     from repro.apps.littled import LittledServer
     from repro.cluster.remote import DistributedSmvx
-    from repro.cluster.scenarios import LITTLED_PROTECT
 
     cluster = Cluster(seed="hook-coexist", hosts=2)
     kernel = cluster.host(0).kernel

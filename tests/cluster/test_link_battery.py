@@ -5,12 +5,8 @@ in-order transport; faults only move delivery times)."""
 
 import pytest
 
-from repro.cluster.scenarios import (
-    build_littled_cluster,
-    build_minx_cluster,
-    run_distributed_ab,
-    run_link_battery,
-)
+from repro.cluster.scenarios import run_distributed_ab, run_link_battery
+from repro.deploy import LITTLED_PROTECT, MINX_PROTECT, Deployment, assemble
 from repro.kernel.faults import FaultSchedule, battery
 
 
@@ -59,15 +55,18 @@ def test_faulted_run_still_replays_bit_identically():
     assert first[0]["wire_digest"] == second[0]["wire_digest"]
 
 
-@pytest.mark.parametrize("build", [build_minx_cluster,
-                                   build_littled_cluster])
-def test_recorded_scenario_keeps_the_fault_schedule(build):
+@pytest.mark.parametrize("app", ["minx", "littled"])
+def test_recorded_scenario_keeps_the_fault_schedule(app):
     """Every host's trace scenario carries the link-fault schedule, so a
     faulted cluster trace says which faults it was recorded under."""
     schedule = FaultSchedule(name="mix", link_delay_p=0.4,
                              link_delay_ns=80_000)
-    run = build(seed="scenario-schedule", record=True,
-                fault_schedule=schedule, start=False)
+    spec = Deployment(app=app, seed="scenario-schedule", cluster=True,
+                      smvx=True, link_faults=schedule,
+                      workers=2 if app == "littled" else 0,
+                      protect=LITTLED_PROTECT if app == "littled"
+                      else MINX_PROTECT)
+    run = assemble(spec, record=True)
     assert len(run.recorders) == 2
     for recorder in run.recorders:
-        assert recorder.scenario["fault_schedule"] == schedule.to_dict()
+        assert recorder.scenario["link_faults"] == schedule.to_dict()

@@ -4,7 +4,8 @@ artifact that re-raises the same alarm at the same guest PC."""
 import pytest
 
 from repro.attacks import run_exploit
-from repro.trace import DivergenceCapsule, EventKind, record_minx
+from repro.deploy import Deployment, deploy
+from repro.trace import DivergenceCapsule, EventKind
 from repro.trace.capsule import CAPSULE_VERSION
 from repro.workloads import ApacheBench
 
@@ -14,8 +15,9 @@ PROTECT = "minx_http_process_request_line"
 @pytest.fixture(scope="module")
 def capture():
     """Record benign traffic + the exploit against protected minx."""
-    kernel, server, recorder = record_minx(protect=PROTECT, smvx=True)
-    ApacheBench(kernel, server).run(2)
+    run = deploy(Deployment(protect=PROTECT, smvx=True), record=True)
+    server, recorder = run.server, run.recorder
+    ApacheBench(run.kernel, server).run(2)
     outcome = run_exploit(server)
     recorder.finish()
     return server, recorder, outcome

@@ -23,7 +23,7 @@ def test_record_writes_trace_and_capsule(artifacts, capsys):
     trace, capsule = artifacts
     with open(trace) as fh:
         raw = json.load(fh)
-    assert raw["version"] == 2
+    assert raw["version"] == 3
     assert raw["footer"]["alarms"]
     with open(capsule) as fh:
         assert json.load(fh)["report"]["kind"] == "FOLLOWER_FAULT"
@@ -33,7 +33,7 @@ def test_info_summarizes(artifacts, capsys):
     trace, _ = artifacts
     assert main(["info", trace]) == 0
     out = capsys.readouterr().out
-    assert "trace version 2" in out
+    assert "trace version 3" in out
     assert "FOLLOWER_FAULT" in out
     assert "counter_total_ns" in out
 
@@ -118,16 +118,65 @@ def test_record_vanilla_smoke(tmp_path, capsys):
     assert main(["replay", trace]) == 0
 
 
-def test_replay_rejects_cluster_host_trace_cleanly(tmp_path, capsys):
-    """A per-host cluster trace cannot be replayed single-host; the CLI
-    must fail with a pointer to `python -m repro.cluster replay`, not a
-    traceback."""
+def test_replay_accepts_cluster_host_traces(tmp_path, capsys):
+    """A per-host cluster trace replays through the same entry point:
+    its header is the cluster's deployment, so replay re-derives the
+    whole cluster and compares that host."""
     from repro.cluster.scenarios import run_distributed_ab
 
     session = run_distributed_ab(requests=1, record=True)
-    path = str(tmp_path / "host0.json")
-    session["traces"][0].save(path)
+    for host, trace in enumerate(session["traces"]):
+        path = str(tmp_path / f"host{host}.json")
+        trace.save(path)
+        assert main(["replay", path]) == 0
+        assert "replay OK" in capsys.readouterr().out
+
+
+def test_replay_refuses_another_host_of_a_hand_driven_cluster(tmp_path,
+                                                             capsys):
+    """A hand-driven cluster run's client stimuli are in host 0's trace
+    only: host 0 replays, host 1 is refused with a message instead of
+    being reported as divergent."""
+    from repro.deploy import MINX_PROTECT, Deployment, deploy
+    from repro.workloads.ab import ApacheBench
+
+    run = deploy(Deployment(cluster=True, smvx=True, protect=MINX_PROTECT),
+                 record=True)
+    assert ApacheBench(run.kernel, run.server).run(2).status_counts == \
+        {200: 2}
+    paths = []
+    for host, trace in enumerate(run.finish()):
+        paths.append(str(tmp_path / f"host{host}.json"))
+        trace.save(paths[-1])
+    assert main(["replay", paths[0]]) == 0
+    assert "replay OK" in capsys.readouterr().out
+    assert main(["replay", paths[1]]) == 1
+    assert "python -m repro.cluster replay" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda raw: raw["meta"]["scenario"].update(workers="two"),
+    lambda raw: raw["script"].append({"conn": 1}),
+    lambda raw: raw["script"].append({"op": "connect", "port": "80"}),
+    lambda raw: raw["script"].append({"op": "recv", "conn": None}),
+    lambda raw: raw["meta"].update(ring=[]),
+    lambda raw: raw["meta"]["ring"].update(capacity="big"),
+    lambda raw: raw["meta"].update(trace_instructions="yes"),
+    lambda raw: raw["inputs"].update(urandom=[1]),
+    lambda raw: raw.update(script={}),
+], ids=["scenario-field", "op-missing", "port-type", "conn-type",
+        "ring-type", "capacity-type", "instructions-type", "urandom-item",
+        "script-type"])
+def test_replay_rejects_a_malformed_deployment_cleanly(artifacts, tmp_path,
+                                                       capsys, tamper):
+    """A malformed header, script op or recorded input fails with a
+    message, not a traceback."""
+    trace, _ = artifacts
+    with open(trace) as fh:
+        raw = json.load(fh)
+    tamper(raw)
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
     assert main(["replay", path]) == 1
-    err = capsys.readouterr().err
-    assert "cannot replay" in err
-    assert "repro.cluster replay" in err
+    assert "cannot replay" in capsys.readouterr().err

@@ -12,25 +12,23 @@ import json
 
 import pytest
 
-from repro.trace import EventKind, Trace, record_littled, replay_trace
+from repro.deploy import Control, Deployment, WorkerKill, Workload, deploy
+from repro.trace import EventKind, Trace, replay_trace
 
-CONTROL = {
-    "restart_budget": 2,
-    "reload_at_ns": 6_000_000,
-    "worker_kills": [{"slot": 1, "at_ns": 2_000_000}],
-}
-WORKLOAD = {"requests": 30, "concurrency": 6,
-            "timeout_ns": 2_000_000_000}
+CONTROL = Control(reload_at_ns=6_000_000,
+                  worker_kills=(WorkerKill(slot=1, at_ns=2_000_000),))
+WORKLOAD = Workload(requests=30, concurrency=6, timeout_ns=2_000_000_000)
 
 
 @pytest.fixture(scope="module")
 def recorded():
-    kernel, server, recorder = record_littled(
-        seed="ctl-rr", workload=WORKLOAD, control=dict(CONTROL),
-        workers=2, smvx=True, protect="server_main_loop")
-    trace = recorder.finish()
-    served = server.served
-    server.shutdown()
+    run = deploy(Deployment(app="littled", seed="ctl-rr", workers=2,
+                            smvx=True, protect="server_main_loop",
+                            workload=WORKLOAD, control=CONTROL),
+                 record=True)
+    trace = run.recorder.finish()
+    served = run.server.served
+    run.server.shutdown()
     return trace, served
 
 

@@ -9,8 +9,9 @@ the footer's fault count, per-kind breakdown, and fault digest.
 
 import pytest
 
-from repro.kernel.faults import FaultSchedule, battery
-from repro.trace import EventKind, record_minx, replay_trace
+from repro.kernel.faults import battery
+from repro.deploy import Deployment, deploy
+from repro.trace import EventKind, replay_trace
 from repro.workloads import ApacheBench
 
 PROTECT = "minx_http_process_request_line"
@@ -19,12 +20,13 @@ SHORT_READS = next(s for s in BATTERY if s.name == "short-reads")
 
 
 def _record(seed="smvx-repro", schedule=SHORT_READS, requests=3):
-    kernel, server, recorder = record_minx(
-        seed=seed, fault_schedule=schedule, protect=PROTECT, smvx=True)
-    result = ApacheBench(kernel, server, max_stalls=64).run(requests)
+    run = deploy(Deployment(seed=seed, faults=schedule, protect=PROTECT,
+                            smvx=True), record=True)
+    result = ApacheBench(run.kernel, run.server,
+                         max_stalls=64).run(requests)
     assert result.requests_completed == requests
-    assert not server.alarms.triggered
-    return kernel, recorder.finish()
+    assert not run.server.alarms.triggered
+    return run.kernel, run.recorder.finish()
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +94,9 @@ def test_every_battery_schedule_replays_exactly(schedule):
 
 
 def test_unfaulted_recording_has_empty_fault_footer():
-    kernel, server, recorder = record_minx(protect=PROTECT, smvx=True)
-    ApacheBench(kernel, server).run(2)
-    trace = recorder.finish()
+    run = deploy(Deployment(protect=PROTECT, smvx=True), record=True)
+    ApacheBench(run.kernel, run.server).run(2)
+    trace = run.recorder.finish()
     assert trace.footer["faults"] == 0
-    assert "faults" not in trace.meta["scenario"]
+    assert trace.meta["scenario"]["faults"] is None
     assert replay_trace(trace).ok

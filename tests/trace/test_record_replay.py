@@ -8,8 +8,10 @@ as divergent, not silently accepted.
 
 import pytest
 
+from repro.attacks import run_exploit
+from repro.deploy import Control, Deployment, deploy
 from repro.kernel import Kernel
-from repro.trace import EventKind, Trace, record_minx, replay_trace
+from repro.trace import EventKind, Trace, replay_trace
 from repro.trace.replay import ReplayUrandom
 from repro.workloads import ApacheBench
 
@@ -20,18 +22,17 @@ PROTECT = "minx_http_process_request_line"
 def recorded():
     """One protected-minx ab run, recorded (shared: recording is cheap,
     the guest run is not)."""
-    kernel, server, recorder = record_minx(protect=PROTECT, smvx=True)
-    result = ApacheBench(kernel, server).run(3)
+    run = deploy(Deployment(protect=PROTECT, smvx=True), record=True)
+    result = ApacheBench(run.kernel, run.server).run(3)
     assert result.status_counts == {200: 3}
-    trace = recorder.finish()
+    trace = run.recorder.finish()
     return trace
 
 
 def test_recorded_trace_shape(recorded):
-    assert recorded.version == 2
-    assert recorded.meta["scenario"] == {
-        "app": "minx", "seed": "smvx-repro",
-        "kwargs": {"protect": PROTECT, "smvx": True}}
+    assert recorded.version == 3
+    assert recorded.meta["scenario"] == \
+        Deployment(protect=PROTECT, smvx=True).to_dict()
     ops = [op["op"] for op in recorded.script]
     assert ops[0] == "start"
     assert "connect" in ops and "send" in ops and "recv" in ops
@@ -116,7 +117,8 @@ def test_tampered_request_changes_the_response(recorded):
 
 
 def test_detach_stops_recording():
-    kernel, server, recorder = record_minx()
+    run = deploy(Deployment(protect=PROTECT, smvx=True), record=True)
+    kernel, server, recorder = run.kernel, run.server, run.recorder
     before = list(recorder.script)
     emitted = recorder.ring.emitted
     recorder.detach()
@@ -125,15 +127,33 @@ def test_detach_stops_recording():
     assert kernel.tasks.spawn_hook is None
     assert kernel.network.ingress_hook is None
     assert recorder._on_syscall not in kernel.syscall_result_hooks
+    assert recorder._on_alarm not in server.alarms.listeners
+    assert recorder._on_rendezvous not in server.monitor.call_taps
+    assert recorder._on_libc not in server.process.libc_call_observers
     # the server keeps serving; nothing further is recorded
     result = ApacheBench(kernel, server).run(1)
     assert result.status_counts == {200: 1}
+    # an alarm raised after detach snapshots no capsule
+    assert run_exploit(server).attack_detected_and_blocked
+    trace = recorder.finish()
+    assert recorder.capsules == []
+    assert not any(e["kind"] == EventKind.ALARM.value for e in trace.events)
     assert recorder.script == before
     assert recorder.ring.emitted == emitted
 
 
+def test_detach_releases_the_supervisor():
+    run = deploy(Deployment(app="littled", workers=2,
+                            control=Control(supervise=True)), record=True)
+    supervisor, recorder = run.supervisor, run.recorder
+    recorder.detach()
+    assert supervisor.metrics_hook is None
+    assert supervisor.worker_hooks == []
+    run.server.shutdown()
+
+
 def test_mark_annotations_land_in_the_ring():
-    kernel, server, recorder = record_minx()
+    recorder = deploy(Deployment(), record=True).recorder
     recorder.mark("phase", step="warmup")
     marks = recorder.ring.events(EventKind.MARK)
     assert marks and marks[-1].name == "phase"

@@ -15,6 +15,7 @@ from repro.apps import LittledServer, MinxServer
 from repro.apps.nbench.harness import NbenchHarness
 from repro.attacks import run_exploit
 from repro.attacks.cve_2013_2028 import VICTIM_DIRECTORY
+from repro.deploy import LITTLED_PROTECT, MINX_PROTECT
 from repro.kernel import Kernel
 from repro.kernel.faults import battery
 from repro.workloads import ApacheBench
@@ -22,8 +23,6 @@ from repro.workloads import ApacheBench
 BATTERY = battery()
 IDS = [s.name for s in BATTERY]
 
-MINX_PROTECT = "minx_http_process_request_line"
-LITTLED_PROTECT = "server_main_loop"
 
 #: fault schedules legitimately stall reads (spurious EAGAIN, segment
 #: pacing); the client needs more patience than the happy path's 2.

@@ -9,7 +9,8 @@ import pytest
 from repro.apps.littled import LittledServer
 from repro.kernel import Kernel
 from repro.kernel.faults import FaultSchedule, battery
-from repro.trace import record_littled, replay_trace
+from repro.deploy import Deployment, Workload, deploy
+from repro.trace import replay_trace
 from repro.workloads.ab import ApacheBench
 
 
@@ -122,10 +123,11 @@ def test_monitor_attached_run_raises_zero_alarms():
 
 
 def test_record_replay_scheduled_run_identical_stream():
-    workload = {"requests": 24, "concurrency": 6}
-    kernel, server, recorder = record_littled(
-        seed="sched-rr", workload=workload,
-        workers=4, smvx=True, protect="server_main_loop")
+    run = deploy(Deployment(app="littled", seed="sched-rr", workers=4,
+                            smvx=True, protect="server_main_loop",
+                            workload=Workload(requests=24, concurrency=6)),
+                 record=True)
+    kernel, server, recorder = run.kernel, run.server, run.recorder
     # footer is snapshotted at finish(); shutdown() keeps scheduling
     # (cancel/drain), so capture the comparison values first
     at_finish = (kernel.sched.decisions, kernel.sched.digest)
